@@ -6,6 +6,7 @@
 #include "check/fault_inject.hh"
 
 #include <ostream>
+#include <string>
 #include <utility>
 
 #include "check/auditors.hh"
@@ -365,11 +366,17 @@ FaultInjector::injectSnapshotFault()
         !sink.empty())
         return false;
 
+    // The single report must name the diverging member's full path.
+    auto namesOnly = [&sink](const std::string &path) {
+        return sink.violations().size() == 1 &&
+               sink.firedFrom("snapshot") &&
+               sink.violations()[0].message.ends_with(" in " + path);
+    };
+
     // Fault 1: a restore that silently lost a pipeline field.
     echo.cpu.curCycle += 1;
-    if (auditSnapshotRoundTrip(snap, echo, sink, source.now()))
-        return false;
-    if (!sink.firedFrom("snapshot"))
+    if (auditSnapshotRoundTrip(snap, echo, sink, source.now()) ||
+        !namesOnly("cpu.curCycle"))
         return false;
 
     // Fault 2: a controller-side divergence (stat drift).
@@ -380,7 +387,7 @@ FaultInjector::injectSnapshotFault()
     echo.controller->dstats.tracesConsidered += 1;
     if (auditSnapshotRoundTrip(snap, echo, sink, source.now()))
         return false;
-    return sink.firedFrom("snapshot");
+    return namesOnly("controller.dstats.tracesConsidered");
 }
 
 bool

@@ -157,8 +157,9 @@ branchTaken(isa::Opcode op, std::uint64_t a, std::uint64_t b)
 
 GoldenModel::GoldenModel(const isa::Program &program,
                          const mem::FunctionalMemory &initial_memory)
-    : prog(program), mem(initial_memory)
+    : prog(program)
 {
+    mem = initial_memory;
 }
 
 GoldenEffect

@@ -52,12 +52,33 @@ struct GoldenEffect
     bool halted = false;
 };
 
+/** Interpreter state: registers, PC and a private copy of memory. */
+struct GoldenModelState
+{
+    mem::FunctionalMemory mem;
+    std::array<std::uint64_t, isa::NUM_ARCH_REGS> regs{};
+    InstAddr curPc = 0;
+    bool isHalted = false;
+
+    bool operator==(const GoldenModelState &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("mem", mem);
+        v("regs", regs);
+        v("curPc", curPc);
+        v("isHalted", isHalted);
+    }
+};
+
 /**
  * The in-order functional reference interpreter. Holds its own
  * register file and a private copy of memory; steps one instruction
  * at a time from its own PC.
  */
-class GoldenModel
+class GoldenModel : private GoldenModelState
 {
   public:
     GoldenModel(const isa::Program &program,
@@ -71,41 +92,54 @@ class GoldenModel
     std::uint64_t reg(RegIndex index) const { return regs.at(index); }
     const mem::FunctionalMemory &memory() const { return mem; }
 
-    /** Complete interpreter state (the memory copy is a deep copy). */
-    struct SavedState
-    {
-        mem::FunctionalMemory mem;
-        std::array<std::uint64_t, isa::NUM_ARCH_REGS> regs{};
-        InstAddr curPc = 0;
-        bool isHalted = false;
+    using State = GoldenModelState;
 
-        bool operator==(const SavedState &) const = default;
-    };
-
-    void
-    save(SavedState &out) const
-    {
-        out.mem = mem;
-        out.regs = regs;
-        out.curPc = curPc;
-        out.isHalted = isHalted;
-    }
-
-    void
-    restore(const SavedState &in)
-    {
-        mem = in.mem;
-        regs = in.regs;
-        curPc = in.curPc;
-        isHalted = in.isHalted;
-    }
+    void save(State &out) const { out = *this; }
+    void restore(const State &in) { State::operator=(in); }
 
   private:
     const isa::Program &prog;
-    mem::FunctionalMemory mem;
-    std::array<std::uint64_t, isa::NUM_ARCH_REGS> regs{};
-    InstAddr curPc = 0;
-    bool isHalted = false;
+};
+
+/** Lockstep cursor and the divergence-dump window. */
+struct LockstepState
+{
+    struct CommitEvent
+    {
+        SeqNum idx = 0;
+        InstAddr pc = 0;
+        bool viaFabric = false;
+        Cycle cycle = 0;
+
+        bool operator==(const CommitEvent &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("idx", idx);
+            v("pc", pc);
+            v("viaFabric", viaFabric);
+            v("cycle", cycle);
+        }
+    };
+
+    SeqNum nextIdx = 0;
+    std::uint64_t checked = 0;
+    bool dead = false;          ///< stop after first divergence
+    std::deque<CommitEvent> window;
+
+    bool operator==(const LockstepState &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("nextIdx", nextIdx);
+        v("checked", checked);
+        v("dead", dead);
+        v("window", window);
+    }
 };
 
 /**
@@ -113,7 +147,7 @@ class GoldenModel
  * instructions one record at a time, fabric invocations as atomic
  * blocks); it steps the golden model per record and diffs.
  */
-class LockstepChecker
+class LockstepChecker : private LockstepState
 {
   public:
     /** Number of recent commits kept for the divergence dump. */
@@ -141,64 +175,44 @@ class LockstepChecker
     /** Dump the recent-commit window (also done on divergence). */
     void dumpWindow(std::ostream &os) const;
 
-  private:
-    struct CommitEvent
-    {
-        SeqNum idx = 0;
-        InstAddr pc = 0;
-        bool viaFabric = false;
-        Cycle cycle = 0;
-
-        bool operator==(const CommitEvent &) const = default;
-    };
-
-  public:
     /** Complete checker state: the golden model plus the commit cursor
      *  and the divergence-dump window. */
-    struct SavedState
+    struct SavedState : LockstepState
     {
-        GoldenModel::SavedState golden;
-        SeqNum nextIdx = 0;
-        std::uint64_t checked = 0;
-        bool dead = false;
-        std::deque<CommitEvent> window;
+        GoldenModel::State golden;
 
         bool operator==(const SavedState &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("golden", golden);
+            LockstepState::fields(v);
+        }
     };
 
     void
     save(SavedState &out) const
     {
         golden.save(out.golden);
-        out.nextIdx = nextIdx;
-        out.checked = checked;
-        out.dead = dead;
-        out.window = window;
+        static_cast<LockstepState &>(out) = *this;
     }
 
     void
     restore(const SavedState &in)
     {
         golden.restore(in.golden);
-        nextIdx = in.nextIdx;
-        checked = in.checked;
-        dead = in.dead;
-        window = in.window;
+        LockstepState::operator=(in);
     }
 
   private:
-
     void checkRecord(SeqNum idx, bool via_fabric, Cycle now);
     void diverged(SeqNum idx, Cycle now, const std::string &what);
 
     const isa::DynamicTrace &trace;
     GoldenModel golden;
     ViolationSink &sink;
-
-    SeqNum nextIdx = 0;
-    std::uint64_t checked = 0;
-    bool dead = false;          ///< stop after first divergence
-    std::deque<CommitEvent> window;
 };
 
 } // namespace dynaspam::check

@@ -1,8 +1,12 @@
 #include "check/snapshot_audit.hh"
 
-#include <sstream>
+#include <algorithm>
+#include <iterator>
 #include <string>
+#include <type_traits>
+#include <vector>
 
+#include "common/fields.hh"
 #include "sim/snapshot.hh"
 
 namespace dynaspam::check
@@ -11,52 +15,121 @@ namespace dynaspam::check
 namespace
 {
 
-/**
- * Diff one component by probing a list of named member comparisons and
- * reporting the first mismatch. The component-level operator== is the
- * source of truth; the member list only localizes the difference.
- */
-template <typename State, typename... Probe>
+/** Member equality; C arrays compare element-wise, as in a defaulted
+ *  operator==. */
+template <class T>
 bool
-diffComponent(const char *component, const State &expect, const State &got,
-              ViolationSink &sink, Cycle now, const Probe &...probes)
+same(const T &a, const T &b)
 {
-    if (expect == got)
-        return true;
+    if constexpr (std::is_array_v<T>)
+        return std::equal(std::begin(a), std::end(a), std::begin(b));
+    else
+        return a == b;
+}
 
-    std::string field = "<unlisted member>";
-    bool found = false;
-    auto check = [&](const auto &probe) {
-        if (found)
-            return;
-        if (!(expect.*(probe.member) == got.*(probe.member))) {
-            field = probe.name;
-            found = true;
-        }
+/** Call fn(name, a.member, b.member) for each member in fields() order. */
+template <class T, class Fn>
+void
+zipFields(const T &a, const T &b, Fn &&fn)
+{
+    std::vector<const void *> members;
+    auto collect = [&members](const char *, auto &field) {
+        members.push_back(&field);
     };
-    (check(probes), ...);
-
-    std::ostringstream os;
-    os << "restored state diverges from its source snapshot in "
-       << component << "." << field;
-    sink.report("snapshot", now, os.str());
-    return false;
+    fields::visitConst(a, collect);
+    std::size_t i = 0;
+    auto pair = [&](const char *name, auto &field) {
+        using F = std::remove_cvref_t<decltype(field)>;
+        fn(name, *static_cast<const F *>(members[i++]), field);
+    };
+    fields::visitConst(b, pair);
 }
 
-/** A named pointer-to-member probe for diffComponent. */
-template <typename State, typename Member>
-struct Probe
+/**
+ * Names where two unequal values first differ, as a member path
+ * (".rob[3].issueCycle"). Equality itself is each State's defaulted
+ * operator==, over ALL of its members; the field lists only localize.
+ * So a difference no listed member shows is a member missing from
+ * fields() — one that a snapshot file would silently drop.
+ */
+class Locator
 {
-    const char *name;
-    Member State::*member;
+  public:
+    std::string path;
+
+    /** Precondition: !(a == b). */
+    template <class T>
+    void
+    locate(const T &a, const T &b)
+    {
+        if constexpr (fields::IsSequence<T>::value ||
+                      fields::IsArray<T>::value) {
+            if (std::size(a) != std::size(b)) {
+                path += " (size " + std::to_string(std::size(a)) + " vs " +
+                        std::to_string(std::size(b)) + ")";
+                return;
+            }
+            for (std::size_t i = 0; i < std::size(a); i++) {
+                if (!(a[i] == b[i])) {
+                    path += "[" + std::to_string(i) + "]";
+                    locate<std::remove_cvref_t<decltype(a[i])>>(a[i], b[i]);
+                    return;
+                }
+            }
+        } else if constexpr (fields::IsMap<T>::value) {
+            if (a.size() != b.size()) {
+                path += " (size " + std::to_string(a.size()) + " vs " +
+                        std::to_string(b.size()) + ")";
+                return;
+            }
+            for (const auto &[key, value] : a) {
+                path += "[" + std::to_string(key) + "]";
+                auto it = b.find(key);
+                if (it == b.end()) {
+                    path += " (missing)";
+                    return;
+                }
+                if (!(value == it->second)) {
+                    locate(value, it->second);
+                    return;
+                }
+                path.resize(path.rfind('['));
+            }
+        } else if constexpr (fields::IsOptional<T>::value) {
+            if (a.has_value() != b.has_value())
+                path += " (present in only one)";
+            else
+                locate(*a, *b);
+        } else if constexpr (fields::SharedConst<T>) {
+            if (!a || !b)
+                path += " (null in only one)";
+            else
+                locate(*a, *b);
+        } else if constexpr (fields::IsPair<T>::value) {
+            if (!(a.first == b.first)) {
+                path += ".first";
+                locate(a.first, b.first);
+            } else {
+                path += ".second";
+                locate(a.second, b.second);
+            }
+        } else if constexpr (fields::HasFields<T>) {
+            bool found = false;
+            zipFields(a, b, [&](const char *name, const auto &fa,
+                                const auto &fb) {
+                if (found || same(fa, fb))
+                    return;
+                found = true;
+                path += ".";
+                path += name;
+                locate(fa, fb);
+            });
+            if (!found)
+                path += ".<member missing from fields()>";
+        }
+        // Scalars and sets: the path so far names the difference.
+    }
 };
-
-template <typename State, typename Member>
-Probe<State, Member>
-probe(const char *name, Member State::*member)
-{
-    return {name, member};
-}
 
 } // namespace
 
@@ -72,91 +145,17 @@ auditSnapshotRoundTrip(const sim::Snapshot &expect, const sim::Snapshot &got,
         ok = false;
     }
 
-    using Cpu = ooo::OooCpu::SavedState;
-    ok &= diffComponent(
-        "cpu", expect.cpu, got.cpu, sink, now,
-        probe("bpred", &Cpu::bpred),
-        probe("storeSets", &Cpu::storeSets),
-        probe("activeIsDefault", &Cpu::activeIsDefault),
-        probe("pendingIsNull", &Cpu::pendingIsNull),
-        probe("curCycle", &Cpu::curCycle),
-        probe("nextSeq", &Cpu::nextSeq),
-        probe("fetchIdx", &Cpu::fetchIdx),
-        probe("commitIdx", &Cpu::commitIdx),
-        probe("fetchResumeCycle", &Cpu::fetchResumeCycle),
-        probe("fetchBlockedOnBranch", &Cpu::fetchBlockedOnBranch),
-        probe("lastFetchBlock", &Cpu::lastFetchBlock),
-        probe("frontEnd", &Cpu::frontEnd),
-        probe("rat", &Cpu::rat),
-        probe("freeList", &Cpu::freeList),
-        probe("physReadyCycle", &Cpu::physReadyCycle),
-        probe("rob", &Cpu::rob),
-        probe("iq", &Cpu::iq),
-        probe("loadQueue", &Cpu::loadQueue),
-        probe("storeQueue", &Cpu::storeQueue),
-        probe("invocations", &Cpu::invocations),
-        probe("readyByType", &Cpu::readyByType),
-        probe("pendingByType", &Cpu::pendingByType),
-        probe("regConsumers", &Cpu::regConsumers),
-        probe("readyCount", &Cpu::readyCount),
-        probe("pendingCount", &Cpu::pendingCount),
-        probe("storesByLine", &Cpu::storesByLine),
-        probe("loadsByLine", &Cpu::loadsByLine),
-        probe("sqBoundCycle", &Cpu::sqBoundCycle),
-        probe("sqBound", &Cpu::sqBound),
-        probe("storeBuffer", &Cpu::storeBuffer),
-        probe("retiredByLine", &Cpu::retiredByLine),
-        probe("fuBusyUntil", &Cpu::fuBusyUntil),
-        probe("mappingActive", &Cpu::mappingActive),
-        probe("mappingTraceIdx", &Cpu::mappingTraceIdx),
-        probe("mappingFetchRemaining", &Cpu::mappingFetchRemaining),
-        probe("mappingDispatchRemaining", &Cpu::mappingDispatchRemaining),
-        probe("mappingIssueRemaining", &Cpu::mappingIssueRemaining),
-        probe("mappingCommitRemaining", &Cpu::mappingCommitRemaining),
-        probe("pstats", &Cpu::pstats));
-
-    using Mem = mem::MemoryHierarchy::SavedState;
-    ok &= diffComponent("memory", expect.memory, got.memory, sink, now,
-                        probe("l2", &Mem::l2), probe("l1i", &Mem::l1i),
-                        probe("l1d", &Mem::l1d));
-
-    if (expect.controller.has_value() != got.controller.has_value()) {
+    zipFields(expect, got, [&](const char *component, const auto &a,
+                               const auto &b) {
+        if (same(a, b))
+            return;
+        Locator locator;
+        locator.locate(a, b);
         sink.report("snapshot", now,
-                    "controller state present in only one snapshot");
+                    "restored state diverges from its source snapshot "
+                    "in " + std::string(component) + locator.path);
         ok = false;
-    } else if (expect.controller) {
-        using Ctl = core::DynaSpamController::SavedState;
-        ok &= diffComponent(
-            "controller", *expect.controller, *got.controller, sink, now,
-            probe("tcache", &Ctl::tcache),
-            probe("configCache", &Ctl::configCache),
-            probe("fabrics", &Ctl::fabrics),
-            probe("session", &Ctl::session),
-            probe("policy", &Ctl::policy),
-            probe("mappingInProgress", &Ctl::mappingInProgress),
-            probe("mappingKey", &Ctl::mappingKey),
-            probe("lastMappingStart", &Ctl::lastMappingStart),
-            probe("pending", &Ctl::pending),
-            probe("suppressed", &Ctl::suppressed),
-            probe("mappedKeys", &Ctl::mappedKeys),
-            probe("offloadedKeys", &Ctl::offloadedKeys),
-            probe("failedKeys", &Ctl::failedKeys),
-            probe("dstats", &Ctl::dstats));
-    }
-
-    if (expect.verifier.has_value() != got.verifier.has_value()) {
-        sink.report("snapshot", now,
-                    "verifier state present in only one snapshot");
-        ok = false;
-    } else if (expect.verifier) {
-        using Ver = Verifier::SavedState;
-        ok &= diffComponent(
-            "verifier", *expect.verifier, *got.verifier, sink, now,
-            probe("lockstep", &Ver::lockstep),
-            probe("auditPasses", &Ver::auditPasses),
-            probe("structurePasses", &Ver::structurePasses));
-    }
-
+    });
     return ok;
 }
 

@@ -6,9 +6,11 @@
  * COMPLETE mutable simulator state: a restore followed by a re-save
  * must reproduce the source snapshot exactly, or the fork will quietly
  * drift from the straight-through run. This auditor diffs two
- * snapshots field-by-field and reports the first mismatching member
- * through a ViolationSink, so a missed field shows up as a named
- * violation ("cpu.rob", "controller", ...) instead of a mystery
+ * snapshots with each component's operator== and names the first
+ * mismatching member through a ViolationSink, by walking the
+ * components' field lists (common/fields.hh), so a missed field shows
+ * up as a named violation ("cpu.rob[3].issueCycle",
+ * "controller.dstats.tracesConsidered", ...) instead of a mystery
  * byte-diff three layers up.
  *
  * Wired in two places: the runner's fork path re-saves every restored
@@ -32,9 +34,9 @@ namespace dynaspam::check
 {
 
 /**
- * Compare @p got against @p expect member-by-member. Reports one
- * violation (auditor tag "snapshot") naming the first differing field
- * for each top-level component that mismatches.
+ * Compare @p got against @p expect component by component. Reports
+ * one violation (auditor tag "snapshot") naming the path of the first
+ * differing member for each top-level component that mismatches.
  * @param now cycle recorded in the violation
  * @return true when the snapshots are identical
  */

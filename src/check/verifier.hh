@@ -30,9 +30,26 @@ class DynaSpamController;
 namespace dynaspam::check
 {
 
+/** The verifier's own counters (its auditors are stateless walkers). */
+struct VerifierState
+{
+    std::uint64_t statAuditPasses = 0;
+    std::uint64_t statStructurePasses = 0;
+
+    bool operator==(const VerifierState &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("statAuditPasses", statAuditPasses);
+        v("statStructurePasses", statStructurePasses);
+    }
+};
+
 /** Drives all checkers for one OooCpu run. Attach with
  *  cpu.setCommitObserver(&verifier); call finish() after cpu.run(). */
-class Verifier : public ooo::CommitObserver
+class Verifier : public ooo::CommitObserver, private VerifierState
 {
   public:
     /** Structure audits run every auditInterval() * structureStride
@@ -64,31 +81,34 @@ class Verifier : public ooo::CommitObserver
     std::uint64_t auditPasses() const { return statAuditPasses; }
     std::uint64_t structurePasses() const { return statStructurePasses; }
 
-    /** Complete verifier state (the auditors are read-only walkers with
-     *  no state of their own). */
-    struct SavedState
+    /** Complete verifier state: the lockstep checker's and its own. */
+    struct SavedState : VerifierState
     {
         LockstepChecker::SavedState lockstep;
-        std::uint64_t auditPasses = 0;
-        std::uint64_t structurePasses = 0;
 
         bool operator==(const SavedState &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("lockstep", lockstep);
+            VerifierState::fields(v);
+        }
     };
 
     void
     save(SavedState &out) const
     {
         lockstep.save(out.lockstep);
-        out.auditPasses = statAuditPasses;
-        out.structurePasses = statStructurePasses;
+        static_cast<VerifierState &>(out) = *this;
     }
 
     void
     restore(const SavedState &in)
     {
         lockstep.restore(in.lockstep);
-        statAuditPasses = in.auditPasses;
-        statStructurePasses = in.structurePasses;
+        VerifierState::operator=(in);
     }
 
   private:
@@ -103,8 +123,6 @@ class Verifier : public ooo::CommitObserver
     StructureAuditor structureAuditor;
 
     std::uint64_t interval;
-    std::uint64_t statAuditPasses = 0;
-    std::uint64_t statStructurePasses = 0;
 };
 
 } // namespace dynaspam::check

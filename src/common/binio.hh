@@ -36,6 +36,13 @@ class Writer
     }
 
     void
+    u16(std::uint16_t value)
+    {
+        u8(std::uint8_t(value));
+        u8(std::uint8_t(value >> 8));
+    }
+
+    void
     u32(std::uint32_t value)
     {
         unsigned char tmp[4];
@@ -53,9 +60,6 @@ class Writer
 
     void b(bool value) { u8(value ? 1 : 0); }
 
-    /** i64 via two's-complement u64 round-trip (well-defined in C++20). */
-    void i64(std::int64_t value) { u64(std::uint64_t(value)); }
-
     /** Length-prefixed byte string (u32 length + raw bytes). */
     void
     str(std::string_view value)
@@ -68,7 +72,8 @@ class Writer
     void
     raw(const void *data, std::size_t size)
     {
-        buf.append(static_cast<const char *>(data), size);
+        if (size)
+            buf.append(static_cast<const char *>(data), size);
     }
 
     const std::string &bytes() const { return buf; }
@@ -101,6 +106,17 @@ class Reader
         return std::uint8_t(ptr[pos++]);
     }
 
+    std::uint16_t
+    u16()
+    {
+        if (!need(2))
+            return 0;
+        std::uint16_t value = std::uint16_t(
+            std::uint8_t(ptr[pos]) | (std::uint8_t(ptr[pos + 1]) << 8));
+        pos += 2;
+        return value;
+    }
+
     std::uint32_t
     u32()
     {
@@ -125,8 +141,6 @@ class Reader
 
     bool b() { return u8() != 0; }
 
-    std::int64_t i64() { return std::int64_t(u64()); }
-
     std::string
     str()
     {
@@ -142,6 +156,8 @@ class Reader
     void
     raw(void *out, std::size_t size)
     {
+        if (size == 0)
+            return;     // out may be null (an empty vector's data())
         if (!need(size)) {
             std::memset(out, 0, size);
             return;

@@ -88,6 +88,9 @@ inform(const Args &...args)
     std::ostringstream os;
     detail::appendAll(os, args...);
     std::fprintf(stdout, "info: %s\n", os.str().c_str());
+    // Daemons report their bound ports here; a redirected stdout must
+    // show the line now, not when the buffer fills.
+    std::fflush(stdout);
 }
 
 } // namespace dynaspam

@@ -11,10 +11,11 @@ namespace dynaspam::core
 {
 
 ConfigCache::ConfigCache(const ConfigCacheParams &p)
-    : params(p), entries(p.entries)
+    : params(p)
 {
     if (!p.entries)
         fatal("configuration cache must have at least one entry");
+    entries.resize(p.entries);
     const unsigned max_counter = bits::counterMax(p.counterBits);
     if (p.offloadThreshold > max_counter)
         fatal("offload threshold ", p.offloadThreshold,

@@ -39,8 +39,53 @@ struct ConfigCacheParams
     std::uint64_t clearInterval = 100000;   ///< lookups per counter clear
 };
 
+/**
+ * Mutable configuration-cache state. FabricConfig objects are immutable
+ * after insertion, so saved entries share ownership with the live cache
+ * rather than deep-copying the configs.
+ */
+struct ConfigCacheState
+{
+    struct Entry
+    {
+        bool valid = false;
+        std::uint64_t key = 0;
+        unsigned counter = 0;
+        fabric::SharedConfig config;
+
+        bool operator==(const Entry &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("valid", valid);
+            v("key", key);
+            v("counter", counter);
+            v("config", config);
+        }
+    };
+
+    std::vector<Entry> entries;
+    std::uint64_t lookups = 0;
+    std::uint64_t statInsertions = 0;
+    std::uint64_t statEvictions = 0;
+
+    bool operator==(const ConfigCacheState &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("entries", entries);
+        v("lookups", lookups);
+        v("statInsertions", statInsertions);
+        v("statEvictions", statEvictions);
+    }
+};
+
 /** The configuration cache. */
-class ConfigCache
+class ConfigCache : private ConfigCacheState
 {
   public:
     explicit ConfigCache(const ConfigCacheParams &p = ConfigCacheParams{});
@@ -86,49 +131,16 @@ class ConfigCache
     std::uint64_t insertions() const { return statInsertions; }
     std::uint64_t evictions() const { return statEvictions; }
 
-    struct Entry
+    using State = ConfigCacheState;
+
+    void save(State &out) const { out = *this; }
+    void restore(const State &in) { State::operator=(in); }
+
+    /** @p in has this cache's entry count (restore() needs it). */
+    bool
+    fits(const State &in) const
     {
-        bool valid = false;
-        std::uint64_t key = 0;
-        unsigned counter = 0;
-        std::shared_ptr<const fabric::FabricConfig> config;
-
-        /** Configs are immutable once inserted, so sharing the pointer
-         *  is value equality for snapshot purposes. */
-        bool operator==(const Entry &) const = default;
-    };
-
-    /**
-     * Complete mutable cache state. FabricConfig objects are immutable
-     * after insertion, so entries share ownership with the live cache
-     * rather than deep-copying the configs.
-     */
-    struct SavedState
-    {
-        std::vector<Entry> entries;
-        std::uint64_t lookups = 0;
-        std::uint64_t insertions = 0;
-        std::uint64_t evictions = 0;
-
-        bool operator==(const SavedState &) const = default;
-    };
-
-    void
-    save(SavedState &out) const
-    {
-        out.entries = entries;
-        out.lookups = lookups;
-        out.insertions = statInsertions;
-        out.evictions = statEvictions;
-    }
-
-    void
-    restore(const SavedState &in)
-    {
-        entries = in.entries;
-        lookups = in.lookups;
-        statInsertions = in.insertions;
-        statEvictions = in.evictions;
+        return in.entries.size() == entries.size();
     }
 
   private:
@@ -145,11 +157,6 @@ class ConfigCache
     }
 
     ConfigCacheParams params;
-    std::vector<Entry> entries;
-    std::uint64_t lookups = 0;
-
-    std::uint64_t statInsertions = 0;
-    std::uint64_t statEvictions = 0;
 };
 
 } // namespace dynaspam::core

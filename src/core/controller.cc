@@ -53,14 +53,14 @@ DynaSpamController::walkMatchesOracle(const TraceWalk &walk,
     return true;
 }
 
-fabric::Fabric *
+std::size_t
 DynaSpamController::selectFabric(
     const std::shared_ptr<const fabric::FabricConfig> &config, Cycle now)
 {
     // Prefer a fabric already holding the configuration.
-    for (auto &fab : fabricPool) {
-        if (fab->hasConfig(config->key))
-            return fab.get();
+    for (std::size_t i = 0; i < fabricPool.size(); i++) {
+        if (fabricPool[i]->hasConfig(config->key))
+            return i;
     }
 
     // Configuration miss: from here on, which fabric is picked (a free
@@ -77,20 +77,22 @@ DynaSpamController::selectFabric(
     }
 
     // Otherwise an unconfigured fabric, else the LRU one.
-    fabric::Fabric *victim = nullptr;
-    for (auto &fab : fabricPool) {
-        if (!fab->configured()) {
-            victim = fab.get();
+    std::size_t victim_idx = fabricPool.size();
+    for (std::size_t i = 0; i < fabricPool.size(); i++) {
+        if (!fabricPool[i]->configured()) {
+            victim_idx = i;
             break;
         }
     }
-    if (!victim) {
-        victim = fabricPool.front().get();
-        for (auto &fab : fabricPool) {
-            if (fab->lastUseCycle() < victim->lastUseCycle())
-                victim = fab.get();
+    if (victim_idx == fabricPool.size()) {
+        victim_idx = 0;
+        for (std::size_t i = 0; i < fabricPool.size(); i++) {
+            if (fabricPool[i]->lastUseCycle() <
+                fabricPool[victim_idx]->lastUseCycle())
+                victim_idx = i;
         }
     }
+    fabric::Fabric *victim = fabricPool[victim_idx].get();
 
     // Reconfigure the victim; its outgoing configuration's lifetime is a
     // Table 5 sample.
@@ -102,7 +104,7 @@ DynaSpamController::selectFabric(
     dstats.reconfigurations++;
     if (trace::compiledIn() && tsink)
         tsink->span(trace::Mark::Reconfigure, now, ready, config->key);
-    return victim;
+    return victim_idx;
 }
 
 ooo::FetchDirective
@@ -201,10 +203,9 @@ DynaSpamController::beforeFetch(SeqNum trace_idx, Cycle now)
     if (guard && guard->mapperDiverges)
         guard->fired = true;
 
-    session = std::make_unique<MappingSession>(
-        params.fabricParams, trace_idx,
-        std::uint32_t(walk.pcs.size()), walk.key);
-    policy->arm(session.get(), trace_idx);
+    session.emplace(params.fabricParams, trace_idx,
+                    std::uint32_t(walk.pcs.size()), walk.key);
+    policy->arm(&*session, trace_idx);
     mappingInProgress = true;
     mappingKey = walk.key;
     lastMappingStart = now;
@@ -283,10 +284,10 @@ DynaSpamController::offloadStart(SeqNum trace_idx, std::uint32_t num_records,
     const PendingInvocation &inv = it->second;
 
     ooo::InvocationResult result;
-    fabric::Fabric *fab = selectFabric(inv.config, now);
-    it->second.startedOn = fab;
-    fabric::FabricExecResult fx =
-        fab->execute(trace, trace_idx, live_in_ready, mem_safe, now);
+    const std::size_t fab = selectFabric(inv.config, now);
+    it->second.startedOnIdx = int(fab);
+    fabric::FabricExecResult fx = fabricPool[fab]->execute(
+        trace, trace_idx, live_in_ready, mem_safe, now);
     (void)num_records;
     if (trace::compiledIn() && tsink) {
         tsink->span(trace::Mark::Invocation, now, fx.completeCycle,
@@ -312,8 +313,9 @@ DynaSpamController::invocationCommitted(SeqNum trace_idx, Cycle now)
     if (it != pending.end()) {
         dstats.instsOffloaded += it->second.numRecords;
         offloadedKeys.insert(it->second.key);
-        if (it->second.startedOn)
-            it->second.startedOn->noteCommitted(trace_idx);
+        if (it->second.startedOnIdx >= 0)
+            fabricPool[std::size_t(it->second.startedOnIdx)]
+                ->noteCommitted(trace_idx);
         pending.erase(it);
     }
 }
@@ -339,8 +341,9 @@ DynaSpamController::invocationSquashed(SeqNum trace_idx, Cycle now,
     if (it != pending.end()) {
         // Rewind the ghost effects this invocation left in the fabric's
         // pipelining state (squash notifications arrive youngest-first).
-        if (it->second.startedOn)
-            it->second.startedOn->rollback(trace_idx);
+        if (it->second.startedOnIdx >= 0)
+            fabricPool[std::size_t(it->second.startedOnIdx)]
+                ->rollback(trace_idx);
         pending.erase(it);
     }
 }
@@ -385,34 +388,8 @@ DynaSpamController::save(SavedState &out) const
     out.fabrics.resize(fabricPool.size());
     for (std::size_t i = 0; i < fabricPool.size(); i++)
         fabricPool[i]->save(out.fabrics[i]);
-
-    if (session)
-        out.session = *session;
-    else
-        out.session.reset();
     policy->save(out.policy);
-    out.mappingInProgress = mappingInProgress;
-    out.mappingKey = mappingKey;
-    out.lastMappingStart = lastMappingStart;
-
-    out.pending.clear();
-    for (const auto &[seq, inv] : pending) {
-        int idx = -1;
-        for (std::size_t i = 0; i < fabricPool.size(); i++) {
-            if (fabricPool[i].get() == inv.startedOn) {
-                idx = int(i);
-                break;
-            }
-        }
-        out.pending.emplace(seq, SavedState::SavedPending{
-            inv.config, inv.key, inv.numRecords, idx});
-    }
-
-    out.suppressed = suppressed;
-    out.mappedKeys = mappedKeys;
-    out.offloadedKeys = offloadedKeys;
-    out.failedKeys = failedKeys;
-    out.dstats = dstats;
+    static_cast<DynaSpamControllerState &>(out) = *this;
 }
 
 void
@@ -425,32 +402,18 @@ DynaSpamController::restore(const SavedState &in)
     const std::size_t n = std::min(in.fabrics.size(), fabricPool.size());
     for (std::size_t i = 0; i < n; i++)
         fabricPool[i]->restore(in.fabrics[i]);
+    DynaSpamControllerState::operator=(in);
+    policy->restore(in.policy, session ? &*session : nullptr);
+}
 
-    if (in.session)
-        session = std::make_unique<MappingSession>(*in.session);
-    else
-        session.reset();
-    policy->restore(in.policy, session.get());
-    mappingInProgress = in.mappingInProgress;
-    mappingKey = in.mappingKey;
-    lastMappingStart = in.lastMappingStart;
-
-    pending.clear();
-    for (const auto &[seq, sp] : in.pending) {
-        if (sp.startedOnIdx >= int(fabricPool.size()))
-            panic("restore: pending invocation on out-of-range fabric");
-        pending.emplace(seq, PendingInvocation{
-            sp.config, sp.key, sp.numRecords,
-            sp.startedOnIdx >= 0
-                ? fabricPool[std::size_t(sp.startedOnIdx)].get()
-                : nullptr});
+bool
+DynaSpamController::fits(const SavedState &in) const
+{
+    for (const auto &entry : in.pending) {
+        if (entry.second.startedOnIdx >= int(fabricPool.size()))
+            return false;
     }
-
-    suppressed = in.suppressed;
-    mappedKeys = in.mappedKeys;
-    offloadedKeys = in.offloadedKeys;
-    failedKeys = in.failedKeys;
-    dstats = in.dstats;
+    return tCache.fits(in.tcache) && cfgCache.fits(in.configCache);
 }
 
 void

@@ -115,6 +115,30 @@ struct DynaSpamStats
     }
 
     bool operator==(const DynaSpamStats &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("tracesConsidered", tracesConsidered);
+        v("mappingsStarted", mappingsStarted);
+        v("mappingsCompleted", mappingsCompleted);
+        v("mappingsAborted", mappingsAborted);
+        v("mappingsDiscarded", mappingsDiscarded);
+        v("offloadsIssued", offloadsIssued);
+        v("invocationsCommitted", invocationsCommitted);
+        v("invocationsSquashed", invocationsSquashed);
+        v("invocationsCollateral", invocationsCollateral);
+        v("hotNotMapped", hotNotMapped);
+        v("offloadBelowThreshold", offloadBelowThreshold);
+        v("offloadSuppressed", offloadSuppressed);
+        v("instsOffloaded", instsOffloaded);
+        v("reconfigurations", reconfigurations);
+        v("distinctMappedTraces", distinctMappedTraces);
+        v("distinctOffloadedTraces", distinctOffloadedTraces);
+        v("lifetimeSum", lifetimeSum);
+        v("lifetimeCount", lifetimeCount);
+    }
 };
 
 /**
@@ -140,10 +164,83 @@ struct WarmupGuard
 };
 
 /**
+ * Mutable controller state of its own; the T-Cache, configuration
+ * cache, fabrics and mapping policy keep theirs (see
+ * DynaSpamController::SavedState).
+ */
+struct DynaSpamControllerState
+{
+    /** Pending offload: config, key and record count, from fetch until
+     *  commit or squash. The fabric is selected when the invocation
+     *  starts, not at fetch, so queued invocations of the previous
+     *  configuration are not killed by an early reconfiguration. */
+    struct PendingInvocation
+    {
+        fabric::SharedConfig config;
+        std::uint64_t key = 0;
+        std::uint32_t numRecords = 0;
+        /** Pool index of the fabric that executed it (set at
+         *  offloadStart); -1 = not started yet. */
+        int startedOnIdx = -1;
+
+        bool operator==(const PendingInvocation &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("config", config);
+            v("key", key);
+            v("numRecords", numRecords);
+            v("startedOnIdx", startedOnIdx);
+        }
+    };
+
+    /** The mapping session of the phase in progress, if one is open. */
+    std::optional<MappingSession> session;
+    bool mappingInProgress = false;
+    std::uint64_t mappingKey = 0;
+    Cycle lastMappingStart = 0;
+
+    /** Keyed by the invocation's first trace record. */
+    std::unordered_map<SeqNum, PendingInvocation> pending;
+
+    /** After a squash at this record, execute it on the host once. */
+    std::unordered_set<SeqNum> suppressed;
+
+    std::unordered_set<std::uint64_t> mappedKeys;
+    std::unordered_set<std::uint64_t> offloadedKeys;
+    /** Traces whose mapping failed: don't retry them (an infeasible
+     *  schedule stays infeasible while the trace shape is stable). */
+    std::unordered_set<std::uint64_t> failedKeys;
+
+    DynaSpamStats dstats;
+
+    bool operator==(const DynaSpamControllerState &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("session", session);
+        v("mappingInProgress", mappingInProgress);
+        v("mappingKey", mappingKey);
+        v("lastMappingStart", lastMappingStart);
+        v("pending", pending);
+        v("suppressed", suppressed);
+        v("mappedKeys", mappedKeys);
+        v("offloadedKeys", offloadedKeys);
+        v("failedKeys", failedKeys);
+        v("dstats", dstats);
+    }
+};
+
+/**
  * The controller. One instance per simulated program run; attach with
  * OooCpu::setHooks().
  */
-class DynaSpamController : public ooo::TraceHooks
+class DynaSpamController : public ooo::TraceHooks,
+                           private DynaSpamControllerState
 {
   public:
     /**
@@ -220,39 +317,38 @@ class DynaSpamController : public ooo::TraceHooks
      * forked-sweep warmup guard fires before a second fabric is ever
      * selected, which guarantees exactly that).
      */
-    struct SavedState
+    struct SavedState : DynaSpamControllerState
     {
-        TCache::SavedState tcache;
-        ConfigCache::SavedState configCache;
-        std::vector<fabric::Fabric::SavedState> fabrics;
-
-        /** In-flight mapping session, if one was open. */
-        std::optional<MappingSession> session;
-        MappingPolicyBase::SavedState policy;
-        bool mappingInProgress = false;
-        std::uint64_t mappingKey = 0;
-        Cycle lastMappingStart = 0;
-
-        /** PendingInvocation with the fabric pointer as a pool index. */
-        struct SavedPending
-        {
-            std::shared_ptr<const fabric::FabricConfig> config;
-            std::uint64_t key = 0;
-            std::uint32_t numRecords = 0;
-            int startedOnIdx = -1;      ///< -1 = not started yet
-
-            bool operator==(const SavedPending &) const = default;
-        };
-        std::unordered_map<SeqNum, SavedPending> pending;
-
-        std::unordered_set<SeqNum> suppressed;
-        std::unordered_set<std::uint64_t> mappedKeys;
-        std::unordered_set<std::uint64_t> offloadedKeys;
-        std::unordered_set<std::uint64_t> failedKeys;
-
-        DynaSpamStats dstats;
+        TCache::State tcache;
+        ConfigCache::State configCache;
+        std::vector<fabric::Fabric::State> fabrics;
+        MappingPolicyBase::State policy;
 
         bool operator==(const SavedState &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("tcache", tcache);
+            v("configCache", configCache);
+            v("fabrics", fabrics);
+            v("policy", policy);
+            DynaSpamControllerState::fields(v);
+        }
+
+        /** Every started invocation names a saved fabric (checked on
+         *  decode). */
+        bool
+        wellFormed() const
+        {
+            for (const auto &entry : pending) {
+                const int idx = entry.second.startedOnIdx;
+                if (idx < -1 || idx >= int(fabrics.size()))
+                    return false;
+            }
+            return true;
+        }
     };
 
     /** Capture the full controller state into @p out. */
@@ -262,13 +358,19 @@ class DynaSpamController : public ooo::TraceHooks
      *  geometry requirements). */
     void restore(const SavedState &in);
 
+    /** @p in has this controller's T-Cache and config-cache sizes and
+     *  starts no invocation beyond its fabric pool (restore() needs
+     *  that). */
+    bool fits(const SavedState &in) const;
+
   private:
     /** Check the predicted-path walk against the oracle records. */
     bool walkMatchesOracle(const TraceWalk &walk, SeqNum trace_idx) const;
 
     /** Pick a fabric for @p config: loaded > free > LRU; reconfigures
-     *  the victim when needed (charging configuration latency). */
-    fabric::Fabric *
+     *  the victim when needed (charging configuration latency).
+     *  @return its index in the pool */
+    std::size_t
     selectFabric(const std::shared_ptr<const fabric::FabricConfig> &config,
                  Cycle now);
 
@@ -282,39 +384,10 @@ class DynaSpamController : public ooo::TraceHooks
     ConfigCache cfgCache;
     std::vector<std::unique_ptr<fabric::Fabric>> fabricPool;
 
-    std::unique_ptr<MappingSession> session;
     std::unique_ptr<MappingPolicyBase> policy;
-    bool mappingInProgress = false;
-    std::uint64_t mappingKey = 0;
-    Cycle lastMappingStart = 0;
-
-    /** Pending offload: trace_idx -> (config, key, num records). The
-     *  fabric is selected when the invocation starts, not at fetch, so
-     *  queued invocations of the previous configuration are not killed
-     *  by an early reconfiguration. */
-    struct PendingInvocation
-    {
-        std::shared_ptr<const fabric::FabricConfig> config;
-        std::uint64_t key = 0;
-        std::uint32_t numRecords = 0;
-        /** The fabric that executed it (set at offloadStart). */
-        fabric::Fabric *startedOn = nullptr;
-    };
-    std::unordered_map<SeqNum, PendingInvocation> pending;
-
-    /** After a squash at this record, execute it on the host once. */
-    std::unordered_set<SeqNum> suppressed;
-
-    std::unordered_set<std::uint64_t> mappedKeys;
-    std::unordered_set<std::uint64_t> offloadedKeys;
-    /** Traces whose mapping failed: don't retry them (an infeasible
-     *  schedule stays infeasible while the trace shape is stable). */
-    std::unordered_set<std::uint64_t> failedKeys;
 
     trace::TraceSink *tsink = nullptr;
     WarmupGuard *guard = nullptr;
-
-    DynaSpamStats dstats;
 };
 
 } // namespace dynaspam::core

@@ -25,8 +25,37 @@
 namespace dynaspam::core
 {
 
+/**
+ * Mutable state of a mapping policy: the frontier-advance and drain
+ * bookkeeping of the phase in progress.
+ */
+struct MappingPolicyState
+{
+    SeqNum baseIdx = 0;
+    Cycle drainUntil = 0;
+    Cycle lastNow = 0;
+    bool advancePending = false;
+    bool selectedThisCycle = false;
+    bool vetoedReadyInst = false;
+
+    bool operator==(const MappingPolicyState &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("baseIdx", baseIdx);
+        v("drainUntil", drainUntil);
+        v("lastNow", lastNow);
+        v("advancePending", advancePending);
+        v("selectedThisCycle", selectedThisCycle);
+        v("vetoedReadyInst", vetoedReadyInst);
+    }
+};
+
 /** Shared frontier/pause machinery for both mapping policies. */
-class MappingPolicyBase : public ooo::SelectPolicy
+class MappingPolicyBase : public ooo::SelectPolicy,
+                          protected MappingPolicyState
 {
   public:
     /**
@@ -49,46 +78,18 @@ class MappingPolicyBase : public ooo::SelectPolicy
     void disarm() { sess = nullptr; }
     MappingSession *session() { return sess; }
 
-    /**
-     * Armed-state capture for simulator snapshots. The session pointer
-     * is encoded as a flag; restore() rebinds it to the controller's
-     * (separately restored) session object.
-     */
-    struct SavedState
-    {
-        bool armed = false;
-        SeqNum baseIdx = 0;
-        Cycle drainUntil = 0;
-        Cycle lastNow = 0;
-        bool advancePending = false;
-        bool selectedThisCycle = false;
-        bool vetoedReadyInst = false;
+    using State = MappingPolicyState;
 
-        bool operator==(const SavedState &) const = default;
-    };
+    void save(State &out) const { out = *this; }
 
+    /** Restore @p in. The policy is armed exactly while its controller
+     *  holds a session, so @p session (the controller's restored one,
+     *  or nullptr) is what it was armed with. */
     void
-    save(SavedState &out) const
+    restore(const State &in, MappingSession *session)
     {
-        out.armed = sess != nullptr;
-        out.baseIdx = baseIdx;
-        out.drainUntil = drainUntil;
-        out.lastNow = lastNow;
-        out.advancePending = advancePending;
-        out.selectedThisCycle = selectedThisCycle;
-        out.vetoedReadyInst = vetoedReadyInst;
-    }
-
-    void
-    restore(const SavedState &in, MappingSession *session)
-    {
-        sess = in.armed ? session : nullptr;
-        baseIdx = in.baseIdx;
-        drainUntil = in.drainUntil;
-        lastNow = in.lastNow;
-        advancePending = in.advancePending;
-        selectedThisCycle = in.selectedThisCycle;
-        vetoedReadyInst = in.vetoedReadyInst;
+        State::operator=(in);
+        sess = session;
     }
 
     bool
@@ -147,13 +148,8 @@ class MappingPolicyBase : public ooo::SelectPolicy
   protected:
     virtual unsigned peCount() const = 0;
 
+    /** The armed session; owned by the controller, rebound on restore. */
     MappingSession *sess = nullptr;
-    SeqNum baseIdx = 0;
-    Cycle drainUntil = 0;
-    Cycle lastNow = 0;
-    bool advancePending = false;
-    bool selectedThisCycle = false;
-    bool vetoedReadyInst = false;
 };
 
 /** The paper's resource-aware scheduling policy (Algorithms 1-2). */

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/binio.hh"
 #include "common/logging.hh"
 #include "isa/opcodes.hh"
 
@@ -18,11 +17,14 @@ namespace dynaspam::core
 
 MappingSession::MappingSession(const fabric::FabricParams &p, SeqNum idx,
                                std::uint32_t num_records, std::uint64_t key)
-    : params(p), startIdx(idx), traceLen(num_records), traceKey(key),
-      peAllocated(p.pesPerStripe(), false),
-      reuseSet(p.numStripes + 1),
-      boundaryUsage(p.numStripes + 1, 0)
 {
+    params = p;
+    startIdx = idx;
+    traceLen = num_records;
+    traceKey = key;
+    peAllocated.assign(p.pesPerStripe(), false);
+    reuseSet.resize(p.numStripes + 1);
+    boundaryUsage.assign(p.numStripes + 1, 0);
 }
 
 MappingSession::OperandClass
@@ -333,307 +335,6 @@ MappingSession::buildConfig(const isa::DynamicTrace &trace) const
         return std::nullopt;
 
     return config;
-}
-
-namespace
-{
-
-void
-serializeRoute(binio::Writer &out, const fabric::OperandRoute &route)
-{
-    out.u8(std::uint8_t(route.kind));
-    out.u32(route.producerIdx);
-    out.u32(route.liveInIdx);
-    out.u32(route.hops);
-}
-
-fabric::OperandRoute
-deserializeRoute(binio::Reader &in)
-{
-    fabric::OperandRoute route;
-    std::uint8_t kind = in.u8();
-    if (kind > std::uint8_t(fabric::OperandRoute::Kind::Routed))
-        in.fail();
-    else
-        route.kind = fabric::OperandRoute::Kind(kind);
-    route.producerIdx = std::uint16_t(in.u32());
-    route.liveInIdx = std::uint16_t(in.u32());
-    route.hops = std::uint16_t(in.u32());
-    return route;
-}
-
-/** Sorted keys of an unordered map/set, for deterministic encoding. */
-template <typename Container>
-std::vector<typename Container::key_type>
-sortedKeys(const Container &c)
-{
-    std::vector<typename Container::key_type> keys;
-    keys.reserve(c.size());
-    for (const auto &entry : c) {
-        if constexpr (requires { entry.first; })
-            keys.push_back(entry.first);
-        else
-            keys.push_back(entry);
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
-
-} // namespace
-
-void
-MappingSession::serialize(binio::Writer &out) const
-{
-    // Fabric geometry first, so deserialize() can reconstruct a session
-    // without outside context.
-    out.u32(params.numStripes);
-    out.u32(params.stripeUnits.intAlu);
-    out.u32(params.stripeUnits.intMulDiv);
-    out.u32(params.stripeUnits.fpAlu);
-    out.u32(params.stripeUnits.fpMulDiv);
-    out.u32(params.stripeUnits.ldst);
-    out.u32(params.passRegsPerFu);
-    out.u32(params.liveInFifos);
-    out.u32(params.liveOutFifos);
-    out.u32(params.fifoDepth);
-    out.u64(params.globalBusLatency);
-    out.u64(params.hopLatency);
-    out.u64(params.configureCyclesPerStripe);
-    out.b(params.memorySpeculation);
-
-    out.u64(startIdx);
-    out.u32(traceLen);
-    out.u64(traceKey);
-    out.u32(frontierStripe);
-    out.b(scheduleFailed);
-
-    out.u64(peAllocated.size());
-    for (bool allocated : peAllocated)
-        out.b(allocated);
-
-    out.u64(prodTable.size());
-    for (RegIndex phys : sortedKeys(prodTable)) {
-        const ProdEntry &entry = prodTable.at(phys);
-        out.u32(phys);
-        out.u32(entry.instIdx);
-        out.u8(entry.stripe);
-    }
-
-    out.u64(reuseSet.size());
-    for (const auto &boundary : reuseSet) {
-        out.u64(boundary.size());
-        for (RegIndex phys : sortedKeys(boundary))
-            out.u32(phys);
-    }
-
-    out.u64(boundaryUsage.size());
-    for (unsigned usage : boundaryUsage)
-        out.u32(usage);
-
-    out.u64(producedThisStripe.size());
-    for (RegIndex phys : producedThisStripe)
-        out.u32(phys);
-
-    out.u64(deadPhys.size());
-    for (RegIndex phys : sortedKeys(deadPhys))
-        out.u32(phys);
-
-    out.u64(archLatestPhys.size());
-    for (RegIndex arch : sortedKeys(archLatestPhys)) {
-        out.u32(arch);
-        out.u32(archLatestPhys.at(arch));
-    }
-
-    out.u64(liveInSlot.size());
-    for (RegIndex phys : sortedKeys(liveInSlot)) {
-        out.u32(phys);
-        out.u32(liveInSlot.at(phys));
-    }
-
-    out.u64(liveInArch.size());
-    for (RegIndex arch : liveInArch)
-        out.u32(arch);
-
-    out.u64(order.size());
-    for (const Placement &placement : order) {
-        out.u32(placement.traceOffset);
-        out.u8(placement.pe.stripe);
-        out.u8(placement.pe.index);
-        serializeRoute(out, placement.src1);
-        serializeRoute(out, placement.src2);
-    }
-
-    out.u64(destArchOf.size());
-    for (RegIndex arch : destArchOf)
-        out.u32(arch);
-
-    out.u64(opOf.size());
-    for (isa::Opcode op : opOf)
-        out.u8(std::uint8_t(op));
-
-    out.u64(pcOf.size());
-    for (InstAddr pc : pcOf)
-        out.u32(pc);
-
-    out.u64(statHops);
-    out.u64(statReuse);
-}
-
-MappingSession
-MappingSession::deserialize(binio::Reader &in)
-{
-    fabric::FabricParams params;
-    params.numStripes = in.u32();
-    params.stripeUnits.intAlu = in.u32();
-    params.stripeUnits.intMulDiv = in.u32();
-    params.stripeUnits.fpAlu = in.u32();
-    params.stripeUnits.fpMulDiv = in.u32();
-    params.stripeUnits.ldst = in.u32();
-    params.passRegsPerFu = in.u32();
-    params.liveInFifos = in.u32();
-    params.liveOutFifos = in.u32();
-    params.fifoDepth = in.u32();
-    params.globalBusLatency = in.u64();
-    params.hopLatency = in.u64();
-    params.configureCyclesPerStripe = in.u64();
-    params.memorySpeculation = in.b();
-
-    // A corrupt geometry would make the constructor allocate absurdly;
-    // fail before constructing.
-    if (!in.ok() || params.numStripes == 0 || params.numStripes > 4096 ||
-        params.pesPerStripe() == 0 || params.pesPerStripe() > 4096) {
-        in.fail();
-        return MappingSession(fabric::FabricParams{}, 0, 0, 0);
-    }
-
-    SeqNum start_idx = in.u64();
-    std::uint32_t trace_len = in.u32();
-    std::uint64_t trace_key = in.u64();
-
-    MappingSession session(params, start_idx, trace_len, trace_key);
-    session.frontierStripe = in.u32();
-    session.scheduleFailed = in.b();
-
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 1))
-        return session;
-    session.peAllocated.assign(count, false);
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        session.peAllocated[i] = in.b();
-
-    count = in.u64();
-    if (!in.checkCount(count, 9))
-        return session;
-    session.prodTable.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        RegIndex phys = RegIndex(in.u32());
-        ProdEntry entry;
-        entry.instIdx = std::uint16_t(in.u32());
-        entry.stripe = in.u8();
-        session.prodTable.emplace(phys, entry);
-    }
-
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return session;
-    session.reuseSet.assign(count, {});
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        std::uint64_t inner = in.u64();
-        if (!in.checkCount(inner, 4))
-            return session;
-        for (std::uint64_t j = 0; j < inner && in.ok(); j++)
-            session.reuseSet[i].insert(RegIndex(in.u32()));
-    }
-
-    count = in.u64();
-    if (!in.checkCount(count, 4))
-        return session;
-    session.boundaryUsage.assign(count, 0);
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        session.boundaryUsage[i] = in.u32();
-
-    count = in.u64();
-    if (!in.checkCount(count, 4))
-        return session;
-    session.producedThisStripe.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        session.producedThisStripe.push_back(RegIndex(in.u32()));
-
-    count = in.u64();
-    if (!in.checkCount(count, 4))
-        return session;
-    session.deadPhys.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        session.deadPhys.insert(RegIndex(in.u32()));
-
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return session;
-    session.archLatestPhys.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        RegIndex arch = RegIndex(in.u32());
-        session.archLatestPhys.emplace(arch, RegIndex(in.u32()));
-    }
-
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return session;
-    session.liveInSlot.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        RegIndex phys = RegIndex(in.u32());
-        session.liveInSlot.emplace(phys, std::uint16_t(in.u32()));
-    }
-
-    count = in.u64();
-    if (!in.checkCount(count, 4))
-        return session;
-    session.liveInArch.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        session.liveInArch.push_back(RegIndex(in.u32()));
-
-    count = in.u64();
-    if (!in.checkCount(count, 32))
-        return session;
-    session.order.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        Placement placement;
-        placement.traceOffset = in.u32();
-        placement.pe.stripe = in.u8();
-        placement.pe.index = in.u8();
-        placement.src1 = deserializeRoute(in);
-        placement.src2 = deserializeRoute(in);
-        session.order.push_back(placement);
-    }
-
-    count = in.u64();
-    if (!in.checkCount(count, 4))
-        return session;
-    session.destArchOf.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        session.destArchOf.push_back(RegIndex(in.u32()));
-
-    count = in.u64();
-    if (!in.checkCount(count, 1))
-        return session;
-    session.opOf.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        std::uint8_t op = in.u8();
-        if (op >= std::uint8_t(isa::Opcode::NUM_OPCODES))
-            in.fail();
-        else
-            session.opOf.push_back(isa::Opcode(op));
-    }
-
-    count = in.u64();
-    if (!in.checkCount(count, 4))
-        return session;
-    session.pcOf.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        session.pcOf.push_back(InstAddr(in.u32()));
-
-    session.statHops = in.u64();
-    session.statReuse = in.u64();
-    return session;
 }
 
 } // namespace dynaspam::core

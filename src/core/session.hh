@@ -27,12 +27,6 @@
 #include "isa/trace.hh"
 #include "ooo/dyninst.hh"
 
-namespace dynaspam::binio
-{
-class Writer;
-class Reader;
-} // namespace dynaspam::binio
-
 namespace dynaspam::core
 {
 
@@ -45,14 +39,132 @@ struct Placement
     fabric::OperandRoute src2;
 
     bool operator==(const Placement &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("traceOffset", traceOffset);
+        v("pe", pe);
+        v("src1", src1);
+        v("src2", src2);
+    }
+};
+
+/**
+ * The mapping generator's working state for one trace. Entirely
+ * value-semantic: a plain copy is a deep snapshot, and the fabric
+ * geometry travels with it so the state stands alone.
+ */
+struct MappingSessionState
+{
+    struct ProdEntry
+    {
+        std::uint16_t instIdx = 0xffff;     ///< index into `order`
+        std::uint8_t stripe = 0;
+
+        bool operator==(const ProdEntry &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("instIdx", instIdx);
+            v("stripe", stripe);
+        }
+    };
+
+    fabric::FabricParams params;
+    SeqNum startIdx = 0;
+    std::uint32_t traceLen = 0;
+    std::uint64_t traceKey = 0;
+
+    unsigned frontierStripe = 0;
+    bool scheduleFailed = false;
+    std::vector<bool> peAllocated;      ///< frontier-stripe allocation
+
+    /// ProdTable: physical register -> producer location.
+    std::unordered_map<RegIndex, ProdEntry> prodTable;
+
+    /// ReuseSet per boundary: boundary b feeds stripe b.
+    std::vector<std::unordered_set<RegIndex>> reuseSet;
+
+    /// OverallUsage: allocated pass registers per boundary.
+    std::vector<unsigned> boundaryUsage;
+
+    /// Values produced in the current frontier stripe (phys regs).
+    std::vector<RegIndex> producedThisStripe;
+
+    /// Killed values (arch reg redefined): stop propagating them.
+    std::unordered_set<RegIndex> deadPhys;
+    std::unordered_map<RegIndex, RegIndex> archLatestPhys;
+
+    /// Live-in FIFO assignment: phys reg -> FIFO index; arch per slot.
+    std::unordered_map<RegIndex, std::uint16_t> liveInSlot;
+    std::vector<RegIndex> liveInArch;
+
+    /// Placement record, in issue order; traceOffset gives program order.
+    std::vector<Placement> order;
+    /// destArch per placement (for live-out computation).
+    std::vector<RegIndex> destArchOf;
+    /// opcode and pc per placement.
+    std::vector<isa::Opcode> opOf;
+    std::vector<InstAddr> pcOf;
+
+    std::uint64_t statHops = 0;
+    std::uint64_t statReuse = 0;
+
+    bool operator==(const MappingSessionState &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("params", params);
+        v("startIdx", startIdx);
+        v("traceLen", traceLen);
+        v("traceKey", traceKey);
+        v("frontierStripe", frontierStripe);
+        v("scheduleFailed", scheduleFailed);
+        v("peAllocated", peAllocated);
+        v("prodTable", prodTable);
+        v("reuseSet", reuseSet);
+        v("boundaryUsage", boundaryUsage);
+        v("producedThisStripe", producedThisStripe);
+        v("deadPhys", deadPhys);
+        v("archLatestPhys", archLatestPhys);
+        v("liveInSlot", liveInSlot);
+        v("liveInArch", liveInArch);
+        v("order", order);
+        v("destArchOf", destArchOf);
+        v("opOf", opOf);
+        v("pcOf", pcOf);
+        v("statHops", statHops);
+        v("statReuse", statReuse);
+    }
+
+    /** The per-stripe tables match the geometry (checked on decode). */
+    bool
+    wellFormed() const
+    {
+        const std::size_t boundaries = std::size_t(params.numStripes) + 1;
+        return params.numStripes > 0 && params.pesPerStripe() > 0 &&
+               peAllocated.size() == params.pesPerStripe() &&
+               reuseSet.size() == boundaries &&
+               boundaryUsage.size() == boundaries &&
+               frontierStripe <= params.numStripes;
+    }
 };
 
 /**
  * The mapping generator's working state for one trace.
  */
-class MappingSession
+class MappingSession : private MappingSessionState
 {
   public:
+    /** An empty session (the target of a snapshot decode). */
+    MappingSession() = default;
+
     /**
      * @param params fabric geometry
      * @param trace_idx first oracle record of the trace being mapped
@@ -124,25 +236,12 @@ class MappingSession
      *  member-wise equality is the snapshot-diff criterion. */
     bool operator==(const MappingSession &) const = default;
 
-    /** Append the full session state (fabric geometry included, so the
-     *  encoding is standalone) to @p out; deterministic byte order. */
-    void serialize(binio::Writer &out) const;
-
-    /** Rebuild a session from @p in. On corrupt input the reader's
-     *  failure flag latches; callers must check `in.ok()` afterwards. */
-    static MappingSession deserialize(binio::Reader &in);
+    using MappingSessionState::fields;
+    using MappingSessionState::wellFormed;
 
   private:
     /** Number of live-in ports a PE at @p stripe offers. */
     unsigned inputPorts(unsigned stripe) const { return stripe == 0 ? 2 : 1; }
-
-    struct ProdEntry
-    {
-        std::uint16_t instIdx = 0xffff;     ///< index into `order`
-        std::uint8_t stripe = 0;
-
-        bool operator==(const ProdEntry &) const = default;
-    };
 
     /** Classify one operand for scoring/routing. */
     struct OperandClass
@@ -152,46 +251,6 @@ class MappingSession
         std::uint16_t hops = 0;
     };
     OperandClass classifyOperand(RegIndex phys) const;
-
-    fabric::FabricParams params;
-    SeqNum startIdx;
-    std::uint32_t traceLen;
-    std::uint64_t traceKey;
-
-    unsigned frontierStripe = 0;
-    bool scheduleFailed = false;
-    std::vector<bool> peAllocated;      ///< frontier-stripe allocation
-
-    /// ProdTable: physical register -> producer location.
-    std::unordered_map<RegIndex, ProdEntry> prodTable;
-
-    /// ReuseSet per boundary: boundary b feeds stripe b.
-    std::vector<std::unordered_set<RegIndex>> reuseSet;
-
-    /// OverallUsage: allocated pass registers per boundary.
-    std::vector<unsigned> boundaryUsage;
-
-    /// Values produced in the current frontier stripe (phys regs).
-    std::vector<RegIndex> producedThisStripe;
-
-    /// Killed values (arch reg redefined): stop propagating them.
-    std::unordered_set<RegIndex> deadPhys;
-    std::unordered_map<RegIndex, RegIndex> archLatestPhys;
-
-    /// Live-in FIFO assignment: phys reg -> FIFO index; arch per slot.
-    std::unordered_map<RegIndex, std::uint16_t> liveInSlot;
-    std::vector<RegIndex> liveInArch;
-
-    /// Placement record, in issue order; traceOffset gives program order.
-    std::vector<Placement> order;
-    /// destArch per placement (for live-out computation).
-    std::vector<RegIndex> destArchOf;
-    /// opcode and pc per placement.
-    std::vector<isa::Opcode> opOf;
-    std::vector<InstAddr> pcOf;
-
-    std::uint64_t statHops = 0;
-    std::uint64_t statReuse = 0;
 };
 
 } // namespace dynaspam::core

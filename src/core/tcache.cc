@@ -10,10 +10,11 @@
 namespace dynaspam::core
 {
 
-TCache::TCache(const TCacheParams &p) : params(p), entries(p.entries)
+TCache::TCache(const TCacheParams &p) : params(p)
 {
     if (!p.entries)
         fatal("T-Cache must have at least one entry");
+    entries.resize(p.entries);
     const unsigned max_counter = bits::counterMax(p.counterBits);
     if (p.hotThreshold > max_counter)
         fatal("T-Cache hot threshold ", p.hotThreshold,

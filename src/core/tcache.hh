@@ -45,8 +45,78 @@ struct TCacheParams
     std::uint64_t clearInterval = 100000;   ///< branch commits per clear
 };
 
+/** Mutable T-Cache state (geometry is a parameter). */
+struct TCacheState
+{
+    struct Entry
+    {
+        std::uint64_t key = 0;
+        unsigned counter = 0;
+        bool hot = false;
+        bool valid = false;
+
+        bool operator==(const Entry &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("key", key);
+            v("counter", counter);
+            v("hot", hot);
+            v("valid", valid);
+        }
+    };
+
+    /** One slot of the committed-branch history window. */
+    struct BranchRec
+    {
+        InstAddr pc = 0;
+        bool taken = false;
+
+        bool operator==(const BranchRec &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("pc", pc);
+            v("taken", taken);
+        }
+    };
+
+    std::vector<Entry> entries;
+
+    /** Last three committed conditional branches, oldest first. A fixed
+     *  array instead of a deque: this is touched on every committed
+     *  conditional branch, and two 16-byte moves beat deque node math. */
+    std::array<BranchRec, 3> history{};
+    unsigned historyCount = 0;  ///< valid slots, saturates at 3
+
+    std::uint64_t commitCount = 0;
+    std::uint64_t statTrainings = 0;
+    std::uint64_t statClears = 0;
+
+    bool operator==(const TCacheState &) const = default;
+
+    /** The history depth fits the window (checked on decode). */
+    bool wellFormed() const { return historyCount <= history.size(); }
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("entries", entries);
+        v("history", history);
+        v("historyCount", historyCount);
+        v("commitCount", commitCount);
+        v("statTrainings", statTrainings);
+        v("statClears", statClears);
+    }
+};
+
 /** The trace-detection cache. */
-class TCache
+class TCache : private TCacheState
 {
   public:
     explicit TCache(const TCacheParams &params = TCacheParams{});
@@ -63,58 +133,16 @@ class TCache
     std::uint64_t trainings() const { return statTrainings; }
     std::uint64_t clears() const { return statClears; }
 
-    struct Entry
+    using State = TCacheState;
+
+    void save(State &out) const { out = *this; }
+    void restore(const State &in) { State::operator=(in); }
+
+    /** @p in has this T-Cache's entry count (restore() needs it). */
+    bool
+    fits(const State &in) const
     {
-        std::uint64_t key = 0;
-        unsigned counter = 0;
-        bool hot = false;
-        bool valid = false;
-
-        bool operator==(const Entry &) const = default;
-    };
-
-    /** One slot of the committed-branch history window. */
-    struct BranchRec
-    {
-        InstAddr pc = 0;
-        bool taken = false;
-
-        bool operator==(const BranchRec &) const = default;
-    };
-
-    /** Complete mutable T-Cache state (geometry is a parameter). */
-    struct SavedState
-    {
-        std::vector<Entry> entries;
-        std::array<BranchRec, 3> history{};
-        unsigned historyCount = 0;
-        std::uint64_t commitCount = 0;
-        std::uint64_t trainings = 0;
-        std::uint64_t clears = 0;
-
-        bool operator==(const SavedState &) const = default;
-    };
-
-    void
-    save(SavedState &out) const
-    {
-        out.entries = entries;
-        out.history = history;
-        out.historyCount = historyCount;
-        out.commitCount = commitCount;
-        out.trainings = statTrainings;
-        out.clears = statClears;
-    }
-
-    void
-    restore(const SavedState &in)
-    {
-        entries = in.entries;
-        history = in.history;
-        historyCount = in.historyCount;
-        commitCount = in.commitCount;
-        statTrainings = in.trainings;
-        statClears = in.clears;
+        return in.entries.size() == entries.size();
     }
 
   private:
@@ -129,17 +157,6 @@ class TCache
     }
 
     TCacheParams params;
-    std::vector<Entry> entries;
-
-    /** Last three committed conditional branches, oldest first. A fixed
-     *  array instead of a deque: this is touched on every committed
-     *  conditional branch, and two 16-byte moves beat deque node math. */
-    std::array<BranchRec, 3> history{};
-    unsigned historyCount = 0;  ///< valid slots, saturates at 3
-
-    std::uint64_t commitCount = 0;
-    std::uint64_t statTrainings = 0;
-    std::uint64_t statClears = 0;
 };
 
 } // namespace dynaspam::core

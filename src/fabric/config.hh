@@ -12,7 +12,9 @@
 #ifndef DYNASPAM_FABRIC_CONFIG_HH
 #define DYNASPAM_FABRIC_CONFIG_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,16 @@ struct OperandRoute
     std::uint16_t hops = 0;
 
     bool operator==(const OperandRoute &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("kind", kind);
+        v("producerIdx", producerIdx);
+        v("liveInIdx", liveInIdx);
+        v("hops", hops);
+    }
 };
 
 /** One instruction placed on the fabric. */
@@ -63,6 +75,24 @@ struct MappedInst
     bool expectedTaken = false;
 
     isa::OpClass opClass() const { return isa::opClass(op); }
+
+    bool operator==(const MappedInst &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("pc", pc);
+        v("op", op);
+        v("pe", pe);
+        v("src1", src1);
+        v("src2", src2);
+        v("destArch", destArch);
+        v("isLoad", isLoad);
+        v("isStore", isStore);
+        v("isBranch", isBranch);
+        v("expectedTaken", expectedTaken);
+    }
 };
 
 /** A live-out: which mapped instruction produces which architectural reg. */
@@ -70,6 +100,16 @@ struct LiveOut
 {
     RegIndex arch = REG_INVALID;
     std::uint16_t producerIdx = 0xffff;
+
+    bool operator==(const LiveOut &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("arch", arch);
+        v("producerIdx", producerIdx);
+    }
 };
 
 /** Complete configuration for one trace. */
@@ -96,6 +136,57 @@ struct FabricConfig
 
     /** Human-readable dump of placements and routes. */
     std::string toString() const;
+
+    /** Every route and live-out names an instruction or live-in of this
+     *  config, and every register an architectural one (checked on
+     *  decode). */
+    bool wellFormed() const;
+
+    bool operator==(const FabricConfig &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("key", key);
+        v("mappedFromIdx", mappedFromIdx);
+        v("numRecords", numRecords);
+        v("insts", insts);
+        v("liveIns", liveIns);
+        v("liveOuts", liveOuts);
+        v("hasStores", hasStores);
+        v("stripesUsed", stripesUsed);
+    }
+};
+
+/**
+ * Shared ownership of an immutable FabricConfig, as held in simulator
+ * state (configuration cache entries, loaded fabrics, pending
+ * invocations). Configs never change once built, so equality is
+ * equality of the pointed-to configs: a snapshot decoded from disk,
+ * whose configs are fresh objects, compares equal to its source.
+ */
+struct SharedConfig : std::shared_ptr<const FabricConfig>
+{
+    using std::shared_ptr<const FabricConfig>::shared_ptr;
+
+    SharedConfig() = default;
+    SharedConfig(std::shared_ptr<const FabricConfig> config)
+        : std::shared_ptr<const FabricConfig>(std::move(config))
+    {
+    }
+
+    friend bool
+    operator==(const SharedConfig &a, const SharedConfig &b)
+    {
+        return a.get() == b.get() || (a && b && *a == *b);
+    }
+
+    friend bool
+    operator==(const SharedConfig &a, std::nullptr_t)
+    {
+        return !a;
+    }
 };
 
 } // namespace dynaspam::fabric

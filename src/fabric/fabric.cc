@@ -30,6 +30,34 @@ FabricConfig::toString() const
     return os.str();
 }
 
+bool
+FabricConfig::wellFormed() const
+{
+    auto arch_ok = [](RegIndex r) { return r < isa::NUM_ARCH_REGS; };
+    auto route_ok = [this](const OperandRoute &r) {
+        switch (r.kind) {
+          case OperandRoute::Kind::None:
+            return true;
+          case OperandRoute::Kind::LiveIn:
+            return r.liveInIdx < liveIns.size();
+          case OperandRoute::Kind::PassReg:
+          case OperandRoute::Kind::Routed:
+            return r.producerIdx < insts.size();
+        }
+        return false;
+    };
+    for (const MappedInst &mi : insts) {
+        if (!route_ok(mi.src1) || !route_ok(mi.src2) ||
+            (mi.destArch != REG_INVALID && !arch_ok(mi.destArch)))
+            return false;
+    }
+    for (const LiveOut &lo : liveOuts) {
+        if (!arch_ok(lo.arch) || lo.producerIdx >= insts.size())
+            return false;
+    }
+    return std::all_of(liveIns.begin(), liveIns.end(), arch_ok);
+}
+
 Fabric::Fabric(const FabricParams &p, mem::MemoryHierarchy &h,
                ooo::StoreSetPredictor &ss)
     : params(p), hierarchy(h), storeSets(ss)
@@ -60,38 +88,6 @@ Fabric::configure(std::shared_ptr<const FabricConfig> config, Cycle now)
     return configReadyCycle;
 }
 
-Fabric::Snapshot
-Fabric::takeSnapshot() const
-{
-    Snapshot snap;
-    snap.config = current;
-    snap.configReadyCycle = configReadyCycle;
-    snap.lastUse = lastUse;
-    snap.prevInstComplete = prevInstComplete;
-    snap.prevLiveOutInternal = prevLiveOutInternal;
-    snap.prevTraceEndIdx = prevTraceEndIdx;
-    snap.inflightWindow = inflightWindow;
-    snap.recentStores = recentStores;
-    snap.lastMemCompletePersist = lastMemCompletePersist;
-    snap.invocationsOnConfig = invocationsOnConfig;
-    return snap;
-}
-
-void
-Fabric::restoreSnapshot(const Snapshot &snap)
-{
-    current = snap.config;
-    configReadyCycle = snap.configReadyCycle;
-    lastUse = snap.lastUse;
-    prevInstComplete = snap.prevInstComplete;
-    prevLiveOutInternal = snap.prevLiveOutInternal;
-    prevTraceEndIdx = snap.prevTraceEndIdx;
-    inflightWindow = snap.inflightWindow;
-    recentStores = snap.recentStores;
-    lastMemCompletePersist = snap.lastMemCompletePersist;
-    invocationsOnConfig = snap.invocationsOnConfig;
-}
-
 void
 Fabric::noteCommitted(SeqNum trace_idx)
 {
@@ -107,7 +103,7 @@ Fabric::rollback(SeqNum trace_idx)
     auto it = snapshots.find(trace_idx);
     if (it == snapshots.end())
         return;     // never executed here (or already rolled back)
-    restoreSnapshot(it->second);
+    static_cast<FabricPipeState &>(*this) = it->second;
     snapshots.erase(it, snapshots.end());
 }
 
@@ -123,7 +119,7 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
 
     // Capture the pipelining state so a ROB squash of this invocation
     // can rewind its ghost effects.
-    snapshots[trace_idx] = takeSnapshot();
+    snapshots[trace_idx] = static_cast<const FabricPipeState &>(*this);
 
     FabricExecResult result;
     const FabricConfig &cfg = *current;

@@ -85,12 +85,133 @@ struct FabricStats
     std::uint64_t activeStripeInvocations = 0;
 
     bool operator==(const FabricStats &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("invocations", invocations);
+        v("squashedInvocations", squashedInvocations);
+        v("peOps", peOps);
+        v("datapathHops", datapathHops);
+        v("fifoPushes", fifoPushes);
+        v("busTransfers", busTransfers);
+        v("dcacheAccesses", dcacheAccesses);
+        v("reconfigurations", reconfigurations);
+        v("memViolations", memViolations);
+        v("activeStripeInvocations", activeStripeInvocations);
+    }
+};
+
+/** Recently completed stores, for cross-invocation memory-order
+ *  violation detection. */
+struct RecentStore
+{
+    Addr addr = 0;
+    Cycle completeCycle = 0;
+    InstAddr pc = 0;
+    SeqNum seq = 0;
+
+    bool operator==(const RecentStore &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("addr", addr);
+        v("completeCycle", completeCycle);
+        v("pc", pc);
+        v("seq", seq);
+    }
+};
+
+/**
+ * Pipelining state of one fabric: everything an invocation changes, and
+ * so exactly what ROB-squash rollback restores.
+ */
+struct FabricPipeState
+{
+    SharedConfig current;
+    Cycle configReadyCycle = 0;
+    Cycle lastUse = 0;
+
+    /** Per-instruction completion cycles of the previous invocation of
+     *  the current config (for PE structural pipelining). */
+    std::vector<Cycle> prevInstComplete;
+    /** Previous invocation's internal live-out completion times, for
+     *  direct global-bus forwarding on back-to-back invocations. */
+    std::vector<Cycle> prevLiveOutInternal;
+    SeqNum prevTraceEndIdx = 0;     ///< record index just after previous
+                                    ///< invocation (back-to-back check)
+
+    /** Completion cycles of recent invocations: models live-in/live-out
+     *  FIFO depth back-pressure on pipelined execution. */
+    std::deque<Cycle> inflightWindow;
+
+    std::deque<RecentStore> recentStores;
+
+    /** Completion of the newest memory op, persisted across invocations
+     *  for the strict ordering of the no-speculation configuration. */
+    Cycle lastMemCompletePersist = 0;
+
+    std::uint64_t invocationsOnConfig = 0;
+
+    bool operator==(const FabricPipeState &) const = default;
+
+    /** The per-instruction and per-live-out completion vectors match the
+     *  loaded configuration (checked on decode). */
+    bool
+    wellFormed() const
+    {
+        return !current ||
+               (prevInstComplete.size() == current->insts.size() &&
+                prevLiveOutInternal.size() == current->liveOuts.size());
+    }
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("current", current);
+        v("configReadyCycle", configReadyCycle);
+        v("lastUse", lastUse);
+        v("prevInstComplete", prevInstComplete);
+        v("prevLiveOutInternal", prevLiveOutInternal);
+        v("prevTraceEndIdx", prevTraceEndIdx);
+        v("inflightWindow", inflightWindow);
+        v("recentStores", recentStores);
+        v("lastMemCompletePersist", lastMemCompletePersist);
+        v("invocationsOnConfig", invocationsOnConfig);
+    }
+};
+
+/**
+ * Complete mutable fabric state: the live pipelining state, one
+ * rollback copy of it per in-flight invocation, and the statistics.
+ */
+struct FabricState : FabricPipeState
+{
+    /** Keyed by the invocation's first trace record. */
+    std::map<SeqNum, FabricPipeState> snapshots;
+
+    FabricStats fstats;
+
+    bool operator==(const FabricState &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        FabricPipeState::fields(v);
+        v("snapshots", snapshots);
+        v("fstats", fstats);
+    }
 };
 
 /**
  * One physical fabric instance.
  */
-class Fabric
+class Fabric : private FabricState
 {
   public:
     /**
@@ -170,106 +291,17 @@ class Fabric
     void exportStats(StatRegistry &registry,
                      const std::string &prefix = "fabric") const;
 
-    /** Recently completed stores, for cross-invocation memory-order
-     *  violation detection. */
-    struct RecentStore
-    {
-        Addr addr = 0;
-        Cycle completeCycle = 0;
-        InstAddr pc = 0;
-        SeqNum seq = 0;
+    using State = FabricState;
 
-        bool operator==(const RecentStore &) const = default;
-    };
-
-    /** Pre-execution state capture for ROB-squash rollback; also the
-     *  per-fabric payload of a full simulator snapshot. FabricConfig
-     *  objects are immutable, so the pointer is shared, not copied. */
-    struct Snapshot
-    {
-        std::shared_ptr<const FabricConfig> config;
-        Cycle configReadyCycle = 0;
-        Cycle lastUse = 0;
-        std::vector<Cycle> prevInstComplete;
-        std::vector<Cycle> prevLiveOutInternal;
-        SeqNum prevTraceEndIdx = 0;
-        std::deque<Cycle> inflightWindow;
-        std::deque<RecentStore> recentStores;
-        Cycle lastMemCompletePersist = 0;
-        std::uint64_t invocationsOnConfig = 0;
-
-        bool operator==(const Snapshot &) const = default;
-    };
-
-    /**
-     * Complete mutable fabric state: the live pipelining state (as one
-     * rollback Snapshot), the outstanding per-invocation rollback
-     * snapshots, and the statistics.
-     */
-    struct SavedState
-    {
-        Snapshot live;
-        std::map<SeqNum, Snapshot> snapshots;
-        FabricStats stats;
-
-        bool operator==(const SavedState &) const = default;
-    };
-
-    void
-    save(SavedState &out) const
-    {
-        out.live = takeSnapshot();
-        out.snapshots = snapshots;
-        out.stats = fstats;
-    }
-
-    void
-    restore(const SavedState &in)
-    {
-        restoreSnapshot(in.live);
-        snapshots = in.snapshots;
-        fstats = in.stats;
-    }
+    void save(State &out) const { out = *this; }
+    void restore(const State &in) { State::operator=(in); }
 
   private:
     FabricParams params;
     mem::MemoryHierarchy &hierarchy;
     ooo::StoreSetPredictor &storeSets;
 
-    std::shared_ptr<const FabricConfig> current;
-    Cycle configReadyCycle = 0;
-    Cycle lastUse = 0;
-
-    /** Per-instruction completion cycles of the previous invocation of
-     *  the current config (for PE structural pipelining). */
-    std::vector<Cycle> prevInstComplete;
-    /** Previous invocation's internal live-out completion times, for
-     *  direct global-bus forwarding on back-to-back invocations. */
-    std::vector<Cycle> prevLiveOutInternal;
-    SeqNum prevTraceEndIdx = 0;     ///< record index just after previous
-                                    ///< invocation (back-to-back check)
-
-    /** Completion cycles of recent invocations: models live-in/live-out
-     *  FIFO depth back-pressure on pipelined execution. */
-    std::deque<Cycle> inflightWindow;
-
-    std::deque<RecentStore> recentStores;
-
-    /** Completion of the newest memory op, persisted across invocations
-     *  for the strict ordering of the no-speculation configuration. */
-    Cycle lastMemCompletePersist = 0;
-
-    std::uint64_t invocationsOnConfig = 0;
-
-    Snapshot takeSnapshot() const;
-    void restoreSnapshot(const Snapshot &snap);
-
-    /** Keyed by the invocation's first trace record. */
-    std::map<SeqNum, Snapshot> snapshots;
-
     trace::TraceSink *tsink = nullptr;
-
-    FabricStats fstats;
 };
 
 } // namespace dynaspam::fabric

@@ -24,10 +24,14 @@ struct PeId
     std::uint8_t stripe = 0;
     std::uint8_t index = 0;     ///< PE index within the stripe
 
-    bool
-    operator==(const PeId &other) const
+    bool operator==(const PeId &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
     {
-        return stripe == other.stripe && index == other.index;
+        v("stripe", stripe);
+        v("index", index);
     }
 };
 
@@ -73,6 +77,22 @@ struct FabricParams
     }
 
     bool operator==(const FabricParams &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("numStripes", numStripes);
+        v("stripeUnits", stripeUnits);
+        v("passRegsPerFu", passRegsPerFu);
+        v("liveInFifos", liveInFifos);
+        v("liveOutFifos", liveOutFifos);
+        v("fifoDepth", fifoDepth);
+        v("globalBusLatency", globalBusLatency);
+        v("hopLatency", hopLatency);
+        v("configureCyclesPerStripe", configureCyclesPerStripe);
+        v("memorySpeculation", memorySpeculation);
+    }
 };
 
 } // namespace dynaspam::fabric

@@ -37,10 +37,61 @@ struct AccessResult
 };
 
 /**
+ * Mutable state of one cache level: the line array plus the LRU clock
+ * and the statistic counters. Geometry (params, level chaining) is
+ * construction-time configuration; restore() requires a Cache built
+ * with the same geometry.
+ */
+struct CacheState
+{
+    struct Line
+    {
+        Addr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t lastUse = 0;  ///< LRU timestamp
+
+        bool operator==(const Line &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("tag", tag);
+            v("valid", valid);
+            v("dirty", dirty);
+            v("lastUse", lastUse);
+        }
+    };
+
+    std::vector<Line> lines;    ///< numSets * assoc, set-major
+    std::uint64_t useClock = 0;
+
+    std::uint64_t statHits = 0;
+    std::uint64_t statMisses = 0;
+    std::uint64_t statWritebacks = 0;
+    std::uint64_t statPrefetchFills = 0;
+
+    bool operator==(const CacheState &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("lines", lines);
+        v("useClock", useClock);
+        v("statHits", statHits);
+        v("statMisses", statMisses);
+        v("statWritebacks", statWritebacks);
+        v("statPrefetchFills", statPrefetchFills);
+    }
+};
+
+/**
  * One cache level. Levels chain via the @c next pointer; the last level
  * misses to a fixed-latency memory.
  */
-class Cache
+class Cache : private CacheState
 {
   public:
     /**
@@ -84,60 +135,19 @@ class Cache
     /** Export statistics into @p registry under this cache's name. */
     void exportStats(StatRegistry &registry) const;
 
-    struct Line
+    using State = CacheState;
+
+    void save(State &out) const { out = *this; }
+    void restore(const State &in) { State::operator=(in); }
+
+    /** @p in has this cache's line count (restore() needs it). */
+    bool
+    fits(const State &in) const
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;  ///< LRU timestamp
-
-        bool operator==(const Line &) const = default;
-    };
-
-    /**
-     * Complete mutable state of one cache level: the line array plus the
-     * LRU clock and the statistic counters. Geometry (params, level
-     * chaining) is construction-time configuration and is not captured;
-     * restore() requires a Cache built with the same geometry.
-     */
-    struct SavedState
-    {
-        std::vector<Line> lines;
-        std::uint64_t useClock = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t writebacks = 0;
-        std::uint64_t prefetchFills = 0;
-
-        bool operator==(const SavedState &) const = default;
-    };
-
-    /** Copy the mutable state into @p out (reuses its capacity). */
-    void
-    save(SavedState &out) const
-    {
-        out.lines = lines;
-        out.useClock = useClock;
-        out.hits = statHits;
-        out.misses = statMisses;
-        out.writebacks = statWritebacks;
-        out.prefetchFills = statPrefetchFills;
-    }
-
-    /** Restore state captured by save(). The geometry must match. */
-    void
-    restore(const SavedState &in)
-    {
-        lines = in.lines;
-        useClock = in.useClock;
-        statHits = in.hits;
-        statMisses = in.misses;
-        statWritebacks = in.writebacks;
-        statPrefetchFills = in.prefetchFills;
+        return in.lines.size() == lines.size();
     }
 
   private:
-
     std::size_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
 
@@ -146,13 +156,6 @@ class Cache
     Cycle memLatency;
 
     std::size_t numSets;
-    std::vector<Line> lines;    ///< numSets * assoc, set-major
-    std::uint64_t useClock = 0;
-
-    std::uint64_t statHits = 0;
-    std::uint64_t statMisses = 0;
-    std::uint64_t statWritebacks = 0;
-    std::uint64_t statPrefetchFills = 0;
 };
 
 /**
@@ -211,11 +214,20 @@ class MemoryHierarchy
     /** Mutable state of all three levels. */
     struct SavedState
     {
-        Cache::SavedState l2;
-        Cache::SavedState l1i;
-        Cache::SavedState l1d;
+        Cache::State l2;
+        Cache::State l1i;
+        Cache::State l1d;
 
         bool operator==(const SavedState &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("l2", l2);
+            v("l1i", l1i);
+            v("l1d", l1d);
+        }
     };
 
     void
@@ -232,6 +244,14 @@ class MemoryHierarchy
         l2Cache.restore(in.l2);
         l1iCache.restore(in.l1i);
         l1dCache.restore(in.l1d);
+    }
+
+    /** @p in has this hierarchy's line counts (restore() needs them). */
+    bool
+    fits(const SavedState &in) const
+    {
+        return l2Cache.fits(in.l2) && l1iCache.fits(in.l1i) &&
+               l1dCache.fits(in.l1d);
     }
 
   private:

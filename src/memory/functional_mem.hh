@@ -19,7 +19,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/binio.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -78,38 +77,20 @@ class FunctionalMemory
      *  produces a false mismatch there. */
     bool operator==(const FunctionalMemory &) const = default;
 
-    /** Append the page map to @p out, sorted by page number so the
-     *  encoding is independent of hash-map iteration order. */
+    template <class V>
     void
-    serialize(binio::Writer &out) const
+    fields(V &v)
     {
-        std::vector<Addr> keys;
-        keys.reserve(pages.size());
-        for (const auto &[page_no, page] : pages)
-            keys.push_back(page_no);
-        std::sort(keys.begin(), keys.end());
-        out.u64(keys.size());
-        for (Addr page_no : keys) {
-            const Page &page = pages.at(page_no);
-            out.u64(page_no);
-            out.raw(page.data(), page.size());
-        }
+        v("pages", pages);
     }
 
-    /** Rebuild the page map from @p in (fail-soft, see binio::Reader). */
-    void
-    deserialize(binio::Reader &in)
+    /** Every page is exactly one page long (checked on decode). */
+    bool
+    wellFormed() const
     {
-        pages.clear();
-        std::uint64_t count = in.u64();
-        if (!in.checkCount(count, 8 + pageBytes))
-            return;
-        for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-            Addr page_no = in.u64();
-            Page page(pageBytes, 0);
-            in.raw(page.data(), page.size());
-            pages.emplace(page_no, std::move(page));
-        }
+        return std::all_of(pages.begin(), pages.end(), [](const auto &e) {
+            return e.second.size() == pageBytes;
+        });
     }
 
     /** Content hash over the sorted page map (FNV-1a), for identity

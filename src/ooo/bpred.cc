@@ -12,17 +12,17 @@ namespace dynaspam::ooo
 {
 
 BranchPredictor::BranchPredictor(const BPredParams &p)
-    : params(p),
-      localTable(p.localEntries, 1),
-      globalTable(p.globalEntries, 1),
-      chooserTable(p.chooserEntries, 2),
-      btb(p.btbEntries),
-      ras(p.rasEntries, 0)
+    : params(p)
 {
     if (!p.localEntries || !p.globalEntries || !p.chooserEntries ||
         !p.btbEntries || !p.rasEntries) {
         fatal("branch predictor tables must be non-empty");
     }
+    localTable.assign(p.localEntries, 1);
+    globalTable.assign(p.globalEntries, 1);
+    chooserTable.assign(p.chooserEntries, 2);
+    btb.resize(p.btbEntries);
+    ras.assign(p.rasEntries, 0);
 }
 
 std::uint8_t

@@ -46,6 +46,14 @@ struct RasCheckpoint
     InstAddr tos = 0;       ///< value on top (0 when the stack was empty)
 
     bool operator==(const RasCheckpoint &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("top", top);
+        v("tos", tos);
+    }
 };
 
 /** Outcome of a branch prediction. */
@@ -56,6 +64,67 @@ struct BPrediction
     InstAddr target = 0;            ///< predicted target when targetKnown
 };
 
+struct BtbEntry
+{
+    InstAddr pc = INST_ADDR_INVALID;
+    InstAddr target = 0;
+
+    bool operator==(const BtbEntry &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("pc", pc);
+        v("target", target);
+    }
+};
+
+/**
+ * Mutable predictor state: every counter table, the BTB, the RAS, both
+ * history registers and the statistics. Table sizes are construction
+ * parameters; restore() requires a predictor built with the same
+ * BPredParams.
+ */
+struct BranchPredictorState
+{
+    std::vector<std::uint8_t> localTable;    ///< 2-bit counters
+    std::vector<std::uint8_t> globalTable;   ///< 2-bit counters
+    std::vector<std::uint8_t> chooserTable;  ///< 2-bit: >=2 prefers global
+
+    std::vector<BtbEntry> btb;
+
+    std::vector<InstAddr> ras;
+    std::size_t rasTop = 0;     ///< number of valid entries
+
+    std::uint64_t specHistory = 0;   ///< speculative global history
+    std::uint64_t archHistory = 0;   ///< resolved global history
+
+    std::uint64_t statLookups = 0;
+    std::uint64_t statMispredicts = 0;
+
+    bool operator==(const BranchPredictorState &) const = default;
+
+    /** The stack depth fits the stack (checked on decode). */
+    bool wellFormed() const { return rasTop <= ras.size(); }
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("localTable", localTable);
+        v("globalTable", globalTable);
+        v("chooserTable", chooserTable);
+        v("btb", btb);
+        v("ras", ras);
+        v("rasTop", rasTop);
+        v("specHistory", specHistory);
+        v("archHistory", archHistory);
+        v("statLookups", statLookups);
+        v("statMispredicts", statMispredicts);
+    }
+};
+
 /**
  * Tournament predictor: local + gshare + chooser, with BTB and RAS.
  *
@@ -63,7 +132,7 @@ struct BPrediction
  * Unconditional direct jumps/calls predict taken; their target is learned
  * through the BTB like any other branch. RET pops the RAS.
  */
-class BranchPredictor
+class BranchPredictor : private BranchPredictorState
 {
   public:
     explicit BranchPredictor(const BPredParams &params = BPredParams{});
@@ -141,64 +210,19 @@ class BranchPredictor
     std::uint64_t lookups() const { return statLookups; }
     std::uint64_t mispredicts() const { return statMispredicts; }
 
-    struct BtbEntry
+    using State = BranchPredictorState;
+
+    void save(State &out) const { out = *this; }
+    void restore(const State &in) { State::operator=(in); }
+
+    /** @p in has this predictor's table sizes (restore() needs them). */
+    bool
+    fits(const State &in) const
     {
-        InstAddr pc = INST_ADDR_INVALID;
-        InstAddr target = 0;
-
-        bool operator==(const BtbEntry &) const = default;
-    };
-
-    /**
-     * Complete mutable predictor state: every counter table, the BTB,
-     * the RAS, both history registers and the statistics. Table sizes
-     * are construction-time parameters; restore() requires a predictor
-     * built with the same BPredParams.
-     */
-    struct SavedState
-    {
-        std::vector<std::uint8_t> localTable;
-        std::vector<std::uint8_t> globalTable;
-        std::vector<std::uint8_t> chooserTable;
-        std::vector<BtbEntry> btb;
-        std::vector<InstAddr> ras;
-        std::size_t rasTop = 0;
-        std::uint64_t specHistory = 0;
-        std::uint64_t archHistory = 0;
-        std::uint64_t lookups = 0;
-        std::uint64_t mispredicts = 0;
-
-        bool operator==(const SavedState &) const = default;
-    };
-
-    void
-    save(SavedState &out) const
-    {
-        out.localTable = localTable;
-        out.globalTable = globalTable;
-        out.chooserTable = chooserTable;
-        out.btb = btb;
-        out.ras = ras;
-        out.rasTop = rasTop;
-        out.specHistory = specHistory;
-        out.archHistory = archHistory;
-        out.lookups = statLookups;
-        out.mispredicts = statMispredicts;
-    }
-
-    void
-    restore(const SavedState &in)
-    {
-        localTable = in.localTable;
-        globalTable = in.globalTable;
-        chooserTable = in.chooserTable;
-        btb = in.btb;
-        ras = in.ras;
-        rasTop = in.rasTop;
-        specHistory = in.specHistory;
-        archHistory = in.archHistory;
-        statLookups = in.lookups;
-        statMispredicts = in.mispredicts;
+        return in.localTable.size() == localTable.size() &&
+               in.globalTable.size() == globalTable.size() &&
+               in.chooserTable.size() == chooserTable.size() &&
+               in.btb.size() == btb.size() && in.ras.size() == ras.size();
     }
 
   private:
@@ -213,21 +237,6 @@ class BranchPredictor
     bool predictDirection(InstAddr pc, std::uint64_t history) const;
 
     BPredParams params;
-
-    std::vector<std::uint8_t> localTable;    ///< 2-bit counters
-    std::vector<std::uint8_t> globalTable;   ///< 2-bit counters
-    std::vector<std::uint8_t> chooserTable;  ///< 2-bit: >=2 prefers global
-
-    std::vector<BtbEntry> btb;
-
-    std::vector<InstAddr> ras;
-    std::size_t rasTop = 0;     ///< number of valid entries
-
-    std::uint64_t specHistory = 0;   ///< speculative global history
-    std::uint64_t archHistory = 0;   ///< resolved global history
-
-    std::uint64_t statLookups = 0;
-    std::uint64_t statMispredicts = 0;
 };
 
 } // namespace dynaspam::ooo

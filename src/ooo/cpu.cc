@@ -120,13 +120,12 @@ traceEventOf(const DynInst &d, Cycle now)
 OooCpu::OooCpu(const OooParams &p, const isa::DynamicTrace &t,
                mem::MemoryHierarchy &h)
     : params(p), trace(t), hierarchy(h), bpred(p.bpred),
-      storeSets(p.storeSets), activePolicy(&defaultPolicy),
-      frontEndCap(4 * p.fetchWidth),
-      rat(isa::NUM_ARCH_REGS, REG_INVALID),
-      physReadyCycle(p.numPhysRegs, 0)
+      storeSets(p.storeSets), frontEndCap(4 * p.fetchWidth)
 {
     if (p.numPhysRegs < isa::NUM_ARCH_REGS + p.renameWidth)
         fatal("too few physical registers (", p.numPhysRegs, ")");
+    rat.assign(isa::NUM_ARCH_REGS, REG_INVALID);
+    physReadyCycle.assign(p.numPhysRegs, 0);
 
     // Initial mapping: arch reg i -> phys reg i, all ready (value 0).
     for (RegIndex i = 0; i < isa::NUM_ARCH_REGS; i++)
@@ -229,7 +228,9 @@ OooCpu::fetchStage()
                 dir.numRecords > 0) {
                 mappingFetchRemaining = dir.numRecords;
                 mappingDispatchRemaining = dir.numRecords;
-                pendingMappingPolicy = dir.policy;
+                if (dir.policy)
+                    mappingPolicy = dir.policy;
+                mappingPolicyPending = dir.policy != nullptr;
                 mappingTraceIdx = fetchIdx;
             }
         }
@@ -422,8 +423,8 @@ OooCpu::renameStage()
             storesByLine[lsqLine(rec.effAddr)].push_back(d.seq);
         }
 
-        if (fe.firstMappingInst && pendingMappingPolicy) {
-            activePolicy = pendingMappingPolicy;
+        if (fe.firstMappingInst && mappingPolicyPending) {
+            mappingPolicyActive = true;
             mappingActive = true;
             mappingIssueRemaining = 0;
             mappingCommitRemaining = 0;
@@ -768,10 +769,10 @@ OooCpu::issueStage()
 
     // Nothing can issue and the policy has no per-cycle side effects:
     // skip the stage entirely.
-    if (readyCount == 0 && activePolicy->passive())
+    if (readyCount == 0 && selectPolicy()->passive())
         return;
 
-    if (!activePolicy->beginCycle(curCycle))
+    if (!selectPolicy()->beginCycle(curCycle))
         return;
 
     unsigned issued_total = 0;
@@ -808,7 +809,7 @@ OooCpu::issueStage()
                                "ready list offers seq ", d.seq,
                                " which the reference readiness rule "
                                "rejects");
-                int score = activePolicy->score(type_offset + u, d);
+                int score = selectPolicy()->score(type_offset + u, d);
                 if (score < 0)
                     continue;
                 if (best_slot == ready.size() || score > best_score ||
@@ -855,7 +856,7 @@ OooCpu::issueStage()
 
             // Algorithm 1 line 13: UpdateTables — notify the policy so
             // the mapping generator records the placement.
-            activePolicy->selected(type_offset + u, d);
+            selectPolicy()->selected(type_offset + u, d);
 
             if (d.inst->hasDest()) {
                 physReadyCycle[d.destPhys] = d.completeCycle;
@@ -882,7 +883,7 @@ OooCpu::issueStage()
                     mappingIssueRemaining--;
                 if (mappingIssueRemaining == 0) {
                     // Whole trace issued: restore the host priority rule.
-                    activePolicy = &defaultPolicy;
+                    mappingPolicyActive = false;
                 }
             }
 
@@ -1136,8 +1137,8 @@ OooCpu::commitStage()
                 mappingCommitRemaining--;
             if (mappingCommitRemaining == 0) {
                 mappingActive = false;
-                pendingMappingPolicy = nullptr;
-                activePolicy = &defaultPolicy;
+                mappingPolicyPending = false;
+                mappingPolicyActive = false;
                 if (traceHooks)
                     traceHooks->mappingFinished(mappingTraceIdx, curCycle);
             }
@@ -1186,8 +1187,8 @@ OooCpu::abortActiveMapping()
     if (traceHooks && (mappingActive || mappingFetchRemaining > 0))
         traceHooks->mappingAborted(mappingTraceIdx, curCycle);
     mappingActive = false;
-    pendingMappingPolicy = nullptr;
-    activePolicy = &defaultPolicy;
+    mappingPolicyPending = false;
+    mappingPolicyActive = false;
     mappingFetchRemaining = 0;
     mappingDispatchRemaining = 0;
     mappingIssueRemaining = 0;
@@ -1350,109 +1351,98 @@ OooCpu::save(SavedState &out) const
 {
     bpred.save(out.bpred);
     storeSets.save(out.storeSets);
-    out.activeIsDefault = activePolicy == &defaultPolicy;
-    out.pendingIsNull = pendingMappingPolicy == nullptr;
-
-    out.curCycle = curCycle;
-    out.nextSeq = nextSeq;
-    out.fetchIdx = fetchIdx;
-    out.commitIdx = commitIdx;
-    out.fetchResumeCycle = fetchResumeCycle;
-    out.fetchBlockedOnBranch = fetchBlockedOnBranch;
-    out.lastFetchBlock = lastFetchBlock;
-    out.frontEnd = frontEnd;
-
-    out.rat = rat;
-    out.freeList = freeList;
-    out.physReadyCycle = physReadyCycle;
-
-    out.rob = rob;
-    out.iq = iq;
-    out.loadQueue = loadQueue;
-    out.storeQueue = storeQueue;
-    out.invocations = invocations;
-
-    out.readyByType = readyByType;
-    out.pendingByType = pendingByType;
-    out.regConsumers = regConsumers;
-    out.readyCount = readyCount;
-    out.pendingCount = pendingCount;
-
-    out.storesByLine = storesByLine;
-    out.loadsByLine = loadsByLine;
-    out.sqBoundCycle = sqBoundCycle;
-    out.sqBound = sqBound;
-    out.storeBuffer = storeBuffer;
-    out.retiredByLine = retiredByLine;
-
-    out.fuBusyUntil = fuBusyUntil;
-
-    out.mappingActive = mappingActive;
-    out.mappingTraceIdx = mappingTraceIdx;
-    out.mappingFetchRemaining = mappingFetchRemaining;
-    out.mappingDispatchRemaining = mappingDispatchRemaining;
-    out.mappingIssueRemaining = mappingIssueRemaining;
-    out.mappingCommitRemaining = mappingCommitRemaining;
-
-    out.pstats = pstats;
+    static_cast<OooCpuState &>(out) = *this;
 }
 
 void
 OooCpu::restore(const SavedState &in, SelectPolicy *mapping_policy)
 {
-    if ((!in.activeIsDefault || !in.pendingIsNull) && !mapping_policy)
+    if ((in.mappingPolicyActive || in.mappingPolicyPending) &&
+        !mapping_policy)
         panic("restore: saved state has an armed policy but none given");
 
     bpred.restore(in.bpred);
     storeSets.restore(in.storeSets);
-    activePolicy = in.activeIsDefault ? &defaultPolicy : mapping_policy;
-    pendingMappingPolicy = in.pendingIsNull ? nullptr : mapping_policy;
-
-    curCycle = in.curCycle;
-    nextSeq = in.nextSeq;
-    fetchIdx = in.fetchIdx;
-    commitIdx = in.commitIdx;
-    fetchResumeCycle = in.fetchResumeCycle;
-    fetchBlockedOnBranch = in.fetchBlockedOnBranch;
-    lastFetchBlock = in.lastFetchBlock;
-    frontEnd = in.frontEnd;
-
-    rat = in.rat;
-    freeList = in.freeList;
-    physReadyCycle = in.physReadyCycle;
-
-    rob = in.rob;
-    iq = in.iq;
-    loadQueue = in.loadQueue;
-    storeQueue = in.storeQueue;
-    invocations = in.invocations;
-
-    readyByType = in.readyByType;
-    pendingByType = in.pendingByType;
-    regConsumers = in.regConsumers;
-    readyCount = in.readyCount;
-    pendingCount = in.pendingCount;
-
-    storesByLine = in.storesByLine;
-    loadsByLine = in.loadsByLine;
-    sqBoundCycle = in.sqBoundCycle;
-    sqBound = in.sqBound;
-    storeBuffer = in.storeBuffer;
-    retiredByLine = in.retiredByLine;
-
-    fuBusyUntil = in.fuBusyUntil;
-
-    mappingActive = in.mappingActive;
-    mappingTraceIdx = in.mappingTraceIdx;
-    mappingFetchRemaining = in.mappingFetchRemaining;
-    mappingDispatchRemaining = in.mappingDispatchRemaining;
-    mappingIssueRemaining = in.mappingIssueRemaining;
-    mappingCommitRemaining = in.mappingCommitRemaining;
-
-    pstats = in.pstats;
-
+    OooCpuState::operator=(in);
+    mappingPolicy = mapping_policy;
     // Scratch is rebuilt from scratch by its user; leave no stale state.
     arrivalScratch.clear();
+}
+
+bool
+OooCpu::fits(const SavedState &in) const
+{
+    if (in.physReadyCycle.size() != physReadyCycle.size() ||
+        in.readyByType.size() != readyByType.size() ||
+        in.pendingByType.size() != pendingByType.size() ||
+        in.fuBusyUntil.size() != fuBusyUntil.size())
+        return false;
+    for (std::size_t t = 0; t < fuBusyUntil.size(); t++) {
+        if (in.fuBusyUntil[t].size() != fuBusyUntil[t].size())
+            return false;
+    }
+    return bpred.fits(in.bpred) && storeSets.fits(in.storeSets);
+}
+
+bool
+OooCpu::SavedState::wellFormed() const
+{
+    const std::size_t depth = bpred.ras.size();
+    auto fits_ras = [depth](const auto &inst) {
+        return inst.rasCp.top <= depth;
+    };
+    return OooCpuState::wellFormed() &&
+           std::all_of(frontEnd.begin(), frontEnd.end(), fits_ras) &&
+           std::all_of(rob.begin(), rob.end(), fits_ras);
+}
+
+bool
+OooCpuState::wellFormed() const
+{
+    const std::size_t phys_regs = physReadyCycle.size();
+    auto phys_ok = [phys_regs](RegIndex r) {
+        return r == REG_INVALID || r < phys_regs;
+    };
+    auto arch_ok = [](RegIndex r) {
+        return r == REG_INVALID || r < isa::NUM_ARCH_REGS;
+    };
+    auto all = [](const std::vector<RegIndex> &regs, auto ok) {
+        return std::all_of(regs.begin(), regs.end(), ok);
+    };
+
+    if (rat.size() != isa::NUM_ARCH_REGS ||
+        regConsumers.size() != phys_regs || !all(rat, phys_ok) ||
+        !all(freeList, phys_ok))
+        return false;
+    // robAt()/robFind() index the ROB by seq - front().seq, so its
+    // seqs must be contiguous; the issue and LSQ queues name live
+    // entries only.
+    for (std::size_t i = 0; i < rob.size(); i++) {
+        const DynInst &d = rob[i];
+        if (d.seq != rob.front().seq + i || !phys_ok(d.destPhys) ||
+            !phys_ok(d.prevPhys) || !phys_ok(d.src1Phys) ||
+            !phys_ok(d.src2Phys))
+            return false;
+    }
+    auto in_rob = [this](SeqNum seq) {
+        return !rob.empty() && seq >= rob.front().seq &&
+            seq <= rob.back().seq;
+    };
+    if (!std::all_of(iq.begin(), iq.end(), in_rob) ||
+        !std::all_of(loadQueue.begin(), loadQueue.end(), in_rob) ||
+        !std::all_of(storeQueue.begin(), storeQueue.end(), in_rob))
+        return false;
+    for (const auto &[seq, inv] : invocations) {
+        if (!all(inv.liveInPhys, phys_ok) || !all(inv.liveOutArch, arch_ok) ||
+            !all(inv.liveOutPhys, phys_ok) ||
+            !all(inv.liveOutPrevPhys, phys_ok))
+            return false;
+    }
+    for (const FrontEndInst &fe : frontEnd) {
+        if (!all(fe.liveIns, arch_ok) || !all(fe.liveOuts, arch_ok))
+            return false;
+    }
+    return true;
 }
 
 } // namespace dynaspam::ooo

@@ -99,77 +99,46 @@ struct PipelineStats
     std::uint64_t mappingInstsExecuted = 0;
 
     bool operator==(const PipelineStats &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("cycles", cycles);
+        v("fetchedInsts", fetchedInsts);
+        v("renamedInsts", renamedInsts);
+        v("dispatchedInsts", dispatchedInsts);
+        v("issuedInsts", issuedInsts);
+        v("committedInsts", committedInsts);
+        v("committedOnHost", committedOnHost);
+        v("squashedInsts", squashedInsts);
+        v("branchMispredicts", branchMispredicts);
+        v("memOrderViolations", memOrderViolations);
+        v("regReads", regReads);
+        v("regWrites", regWrites);
+        v("bypasses", bypasses);
+        v("iqWakeups", iqWakeups);
+        v("fuOps", fuOps);
+        v("loadForwards", loadForwards);
+        v("icacheAccesses", icacheAccesses);
+        v("dcacheAccesses", dcacheAccesses);
+        v("robWrites", robWrites);
+        v("robReads", robReads);
+        v("invocationsCommitted", invocationsCommitted);
+        v("invocationsSquashed", invocationsSquashed);
+        v("mappingInstsExecuted", mappingInstsExecuted);
+    }
 };
 
 /**
- * The out-of-order CPU. One instance simulates one complete program run
- * over a given oracle trace.
+ * Mutable pipeline state of the OOO CPU: everything a snapshot saves
+ * besides the branch and store-set predictors (see OooCpu::SavedState).
+ * Construction-time configuration (parameters, FU offsets, front-end
+ * capacity), the attached hooks/observer/sink, the externally owned
+ * mapping policy pointer and reusable scratch stay in OooCpu.
  */
-class OooCpu
+struct OooCpuState
 {
-  public:
-    /**
-     * @param params pipeline configuration (Table 4 defaults)
-     * @param trace oracle dynamic trace to simulate
-     * @param hierarchy cache hierarchy (timing only)
-     */
-    OooCpu(const OooParams &params, const isa::DynamicTrace &trace,
-           mem::MemoryHierarchy &hierarchy);
-    ~OooCpu();
-
-    OooCpu(const OooCpu &) = delete;
-    OooCpu &operator=(const OooCpu &) = delete;
-
-    /** Attach the DynaSpAM controller (nullptr detaches). */
-    void setHooks(TraceHooks *hooks) { traceHooks = hooks; }
-
-    /** Attach a commit/cycle observer (nullptr detaches). Used by the
-     *  verification layer for golden-model lockstep and auditing. */
-    void setCommitObserver(CommitObserver *obs) { observer = obs; }
-
-    /** Attach an event-trace sink (nullptr detaches). The sink records
-     *  one event per committed or squashed ROB entry, from timestamps
-     *  the pipeline tracks anyway — attaching it cannot perturb timing. */
-    void setTraceSink(trace::TraceSink *sink) { tsink = sink; }
-
-    /**
-     * Replace the issue-select policy for the whole run (ablation and
-     * test use; DynaSpAM installs its policy per mapping phase through
-     * the hooks instead). Pass nullptr to restore oldest-first.
-     */
-    void
-    setSelectPolicyForTesting(SelectPolicy *policy)
-    {
-        activePolicy = policy ? policy : &defaultPolicy;
-    }
-
-    /** Run until the whole trace commits. @return total cycles. */
-    Cycle run();
-
-    /** Advance one cycle (exposed for unit tests). */
-    void tick();
-
-    /** @return true when every oracle record has committed. */
-    bool done() const { return commitIdx >= trace.size(); }
-
-    Cycle now() const { return curCycle; }
-    const PipelineStats &stats() const { return pstats; }
-    BranchPredictor &branchPredictor() { return bpred; }
-    StoreSetPredictor &storeSetPredictor() { return storeSets; }
-    const OooParams &config() const { return params; }
-
-    /** Export statistics into @p registry under the "ooo." prefix. */
-    void exportStats(StatRegistry &registry) const;
-
-    /** Dump pipeline occupancy and control state (debugging aid). */
-    void dumpState(std::ostream &os) const;
-
-  private:
-    /** The invariant auditors inspect pipeline internals directly. */
-    friend class dynaspam::check::OooAuditor;
-    /** The fault-injection self-test seeds violations directly. */
-    friend class dynaspam::check::FaultInjector;
-
     // --- Front-end entry awaiting rename ---
     struct FrontEndInst
     {
@@ -189,6 +158,25 @@ class OooCpu
         bool hasStores = false;
 
         bool operator==(const FrontEndInst &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("traceIdx", traceIdx);
+            v("readyAtRename", readyAtRename);
+            v("mispredicted", mispredicted);
+            v("predictedTaken", predictedTaken);
+            v("rasCp", rasCp);
+            v("mappingInst", mappingInst);
+            v("firstMappingInst", firstMappingInst);
+            v("lastMappingInst", lastMappingInst);
+            v("isInvocation", isInvocation);
+            v("numRecords", numRecords);
+            v("liveIns", liveIns);
+            v("liveOuts", liveOuts);
+            v("hasStores", hasStores);
+        }
     };
 
     /** Per-invocation rename/issue bookkeeping. */
@@ -203,6 +191,19 @@ class OooCpu
         InvocationResult result;
 
         bool operator==(const InvocationState &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("liveInPhys", liveInPhys);
+            v("liveOutArch", liveOutArch);
+            v("liveOutPhys", liveOutPhys);
+            v("liveOutPrevPhys", liveOutPrevPhys);
+            v("hasStores", hasStores);
+            v("resolved", resolved);
+            v("result", result);
+        }
     };
 
     /**
@@ -273,56 +274,56 @@ class OooCpu
 
         bool operator==(const InvocationTable &) const = default;
 
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("slots", slots);
+        }
+
       private:
         std::deque<Entry> slots;
     };
 
-    // Stage functions, called in reverse pipeline order each tick.
-    void commitStage();
-    void executeStage();
-    void issueStage();
-    void renameStage();
-    void fetchStage();
-
-    // Helpers.
-    DynInst &robAt(SeqNum seq);
-    const DynInst *robFind(SeqNum seq) const;
-    bool isInstReady(const DynInst &inst) const;
-    bool olderStoresAllComplete(const DynInst &load) const;
-    void issueLoad(DynInst &load);
-    void issueStore(DynInst &store);
-    void checkViolations(const DynInst &store);
-    void squashFrom(SeqNum seq, SeqNum resume_trace_idx, Cycle restart);
-    void abortActiveMapping();
-    void startReadyInvocations();
-    Cycle physReady(RegIndex phys) const;
-
-    // Wakeup-driven scheduler (see the comment at the member block).
-    void scheduleAtDispatch(DynInst &d);
-    void wakeConsumers(RegIndex phys);
-    void drainPendingWakeups();
-    void scrubSchedulerForSquash(SeqNum bound);
-    bool loadMemoryReady(const DynInst &load);
-    SeqNum incompleteStoreBound();
-
-    /** Cacheline granularity of the LSQ address index. */
-    static constexpr unsigned lsqLineShift = 6;
-    static Addr lsqLine(Addr addr) { return addr >> lsqLineShift; }
-
     /** Address-keyed index over an LSQ queue: line -> age-ordered seqs. */
     using LsqIndex = std::unordered_map<Addr, std::vector<SeqNum>>;
 
-    OooParams params;
-    const isa::DynamicTrace &trace;
-    mem::MemoryHierarchy &hierarchy;
+    /** Scheduler entry whose sources are all known (see below). */
+    struct PendingWakeup
+    {
+        Cycle readyCycle = 0;   ///< max source-ready cycle, may be future
+        SeqNum seq = 0;
 
-    BranchPredictor bpred;
-    StoreSetPredictor storeSets;
-    OldestFirstPolicy defaultPolicy;
-    SelectPolicy *activePolicy;     ///< never null
-    TraceHooks *traceHooks = nullptr;
-    CommitObserver *observer = nullptr;
-    trace::TraceSink *tsink = nullptr;
+        bool operator==(const PendingWakeup &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("readyCycle", readyCycle);
+            v("seq", seq);
+        }
+    };
+
+    /** Post-commit store buffer entry: recently committed stores remain
+     *  visible for store-to-load forwarding while they drain. */
+    struct RetiredStore
+    {
+        Addr addr = 0;
+        Cycle dataReady = 0;
+        SeqNum seq = 0;
+
+        bool operator==(const RetiredStore &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("addr", addr);
+            v("dataReady", dataReady);
+            v("seq", seq);
+        }
+    };
 
     Cycle curCycle = 0;
     SeqNum nextSeq = 1;             ///< 0 reserved as "no instruction"
@@ -333,7 +334,6 @@ class OooCpu
     Addr lastFetchBlock = ~Addr(0);
 
     std::deque<FrontEndInst> frontEnd;
-    std::size_t frontEndCap;
 
     // Rename state.
     std::vector<RegIndex> rat;              ///< arch -> phys
@@ -359,19 +359,11 @@ class OooCpu
      * (score, oldest-seq) tie-break, so reports stay byte-identical
      * to the scan-based engine.
      */
-    struct PendingWakeup
-    {
-        Cycle readyCycle = 0;   ///< max source-ready cycle, may be future
-        SeqNum seq = 0;
-
-        bool operator==(const PendingWakeup &) const = default;
-    };
     std::vector<std::vector<SeqNum>> readyByType;       ///< per FU type
     std::vector<std::vector<PendingWakeup>> pendingByType;
     std::vector<std::vector<SeqNum>> regConsumers;      ///< per phys reg
     std::size_t readyCount = 0;
     std::size_t pendingCount = 0;
-    unsigned fuTypeOffsets[unsigned(isa::FuType::NUM_FU_TYPES)] = {};
 
     // Cacheline-granular LSQ address index: disambiguation and
     // forwarding probe only same-line entries, in age order, instead of
@@ -384,22 +376,8 @@ class OooCpu
     Cycle sqBoundCycle = CYCLE_INVALID;
     SeqNum sqBound = 0;
 
-    /** Post-commit store buffer: recently committed stores remain
-     *  visible for store-to-load forwarding while they drain. */
-    struct RetiredStore
-    {
-        Addr addr = 0;
-        Cycle dataReady = 0;
-        SeqNum seq = 0;
-
-        bool operator==(const RetiredStore &) const = default;
-    };
     std::deque<RetiredStore> storeBuffer;
     std::unordered_map<Addr, std::vector<RetiredStore>> retiredByLine;
-    static constexpr std::size_t storeBufferEntries = 16;
-
-    /** Reused live-in arrival scratch for startReadyInvocations(). */
-    std::vector<Cycle> arrivalScratch;
 
     // FU pool: busy-until cycle per unit, grouped by type.
     std::vector<std::vector<Cycle>> fuBusyUntil;
@@ -409,7 +387,11 @@ class OooCpu
     // is active from first dispatch until last trace-instruction issue.
     bool mappingActive = false;
     SeqNum mappingTraceIdx = 0;
-    SelectPolicy *pendingMappingPolicy = nullptr;
+    /** The mapping policy selects instead of oldest-first. */
+    bool mappingPolicyActive = false;
+    /** A directed mapping phase will install the mapping policy at its
+     *  first trace instruction's dispatch. */
+    bool mappingPolicyPending = false;
     std::uint32_t mappingFetchRemaining = 0;  ///< records left to mark
     std::uint32_t mappingDispatchRemaining = 0; ///< marked, not dispatched
     std::uint32_t mappingIssueRemaining = 0;  ///< dispatched, not issued
@@ -417,82 +399,237 @@ class OooCpu
 
     PipelineStats pstats;
 
+    bool operator==(const OooCpuState &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("curCycle", curCycle);
+        v("nextSeq", nextSeq);
+        v("fetchIdx", fetchIdx);
+        v("commitIdx", commitIdx);
+        v("fetchResumeCycle", fetchResumeCycle);
+        v("fetchBlockedOnBranch", fetchBlockedOnBranch);
+        v("lastFetchBlock", lastFetchBlock);
+        v("frontEnd", frontEnd);
+        v("rat", rat);
+        v("freeList", freeList);
+        v("physReadyCycle", physReadyCycle);
+        v("rob", rob);
+        v("iq", iq);
+        v("loadQueue", loadQueue);
+        v("storeQueue", storeQueue);
+        v("invocations", invocations);
+        v("readyByType", readyByType);
+        v("pendingByType", pendingByType);
+        v("regConsumers", regConsumers);
+        v("readyCount", readyCount);
+        v("pendingCount", pendingCount);
+        v("storesByLine", storesByLine);
+        v("loadsByLine", loadsByLine);
+        v("sqBoundCycle", sqBoundCycle);
+        v("sqBound", sqBound);
+        v("storeBuffer", storeBuffer);
+        v("retiredByLine", retiredByLine);
+        v("fuBusyUntil", fuBusyUntil);
+        v("mappingActive", mappingActive);
+        v("mappingTraceIdx", mappingTraceIdx);
+        v("mappingPolicyActive", mappingPolicyActive);
+        v("mappingPolicyPending", mappingPolicyPending);
+        v("mappingFetchRemaining", mappingFetchRemaining);
+        v("mappingDispatchRemaining", mappingDispatchRemaining);
+        v("mappingIssueRemaining", mappingIssueRemaining);
+        v("mappingCommitRemaining", mappingCommitRemaining);
+        v("pstats", pstats);
+    }
+
+    /**
+     * Every register index is in range: the RAT covers the
+     * architectural registers, each physical index (RAT, free list,
+     * ROB, invocations) names an entry of physReadyCycle or is
+     * REG_INVALID, and architectural indices stay below NUM_ARCH_REGS.
+     * The ROB's seqs are contiguous and the IQ and LSQ name ROB
+     * entries. Checked on decode, since the pipeline indexes with
+     * these unchecked.
+     */
+    bool wellFormed() const;
+};
+
+/**
+ * The out-of-order CPU. One instance simulates one complete program run
+ * over a given oracle trace.
+ */
+class OooCpu : private OooCpuState
+{
   public:
     /**
-     * Complete mutable pipeline state for simulator snapshots. Excludes
-     * construction-time configuration (params, table geometries, FU
-     * offsets) and the attached hooks/observer/sink, which the restore
-     * target must already share; restore() requires a CPU built over the
-     * same trace with the same OooParams. DynInst pointer members stay
-     * valid because both sides reference the same immutable
-     * Program/DynamicTrace. The two policy pointers are encoded as
-     * "default or the (single) externally-owned mapping policy" and
-     * rebound by restore().
+     * @param params pipeline configuration (Table 4 defaults)
+     * @param trace oracle dynamic trace to simulate
+     * @param hierarchy cache hierarchy (timing only)
      */
-    struct SavedState
+    OooCpu(const OooParams &params, const isa::DynamicTrace &trace,
+           mem::MemoryHierarchy &hierarchy);
+    ~OooCpu();
+
+    OooCpu(const OooCpu &) = delete;
+    OooCpu &operator=(const OooCpu &) = delete;
+
+    /** Attach the DynaSpAM controller (nullptr detaches). */
+    void setHooks(TraceHooks *hooks) { traceHooks = hooks; }
+
+    /** Attach a commit/cycle observer (nullptr detaches). Used by the
+     *  verification layer for golden-model lockstep and auditing. */
+    void setCommitObserver(CommitObserver *obs) { observer = obs; }
+
+    /** Attach an event-trace sink (nullptr detaches). The sink records
+     *  one event per committed or squashed ROB entry, from timestamps
+     *  the pipeline tracks anyway — attaching it cannot perturb timing. */
+    void setTraceSink(trace::TraceSink *sink) { tsink = sink; }
+
+    /**
+     * Replace the issue-select policy for the whole run (ablation and
+     * test use; DynaSpAM installs its policy per mapping phase through
+     * the hooks instead). Pass nullptr to restore oldest-first.
+     */
+    void
+    setSelectPolicyForTesting(SelectPolicy *policy)
     {
-        BranchPredictor::SavedState bpred;
-        StoreSetPredictor::SavedState storeSets;
-        bool activeIsDefault = true;    ///< activePolicy == &defaultPolicy
-        bool pendingIsNull = true;      ///< pendingMappingPolicy == nullptr
+        mappingPolicy = policy;
+        mappingPolicyActive = policy != nullptr;
+    }
 
-        Cycle curCycle = 0;
-        SeqNum nextSeq = 1;
-        SeqNum fetchIdx = 0;
-        SeqNum commitIdx = 0;
-        Cycle fetchResumeCycle = 0;
-        bool fetchBlockedOnBranch = false;
-        Addr lastFetchBlock = ~Addr(0);
-        std::deque<FrontEndInst> frontEnd;
+    /** Run until the whole trace commits. @return total cycles. */
+    Cycle run();
 
-        std::vector<RegIndex> rat;
-        std::vector<RegIndex> freeList;
-        std::vector<Cycle> physReadyCycle;
+    /** Advance one cycle (exposed for unit tests). */
+    void tick();
 
-        std::deque<DynInst> rob;
-        std::vector<SeqNum> iq;
-        std::deque<SeqNum> loadQueue;
-        std::deque<SeqNum> storeQueue;
-        InvocationTable invocations;
+    /** @return true when every oracle record has committed. */
+    bool done() const { return commitIdx >= trace.size(); }
 
-        std::vector<std::vector<SeqNum>> readyByType;
-        std::vector<std::vector<PendingWakeup>> pendingByType;
-        std::vector<std::vector<SeqNum>> regConsumers;
-        std::size_t readyCount = 0;
-        std::size_t pendingCount = 0;
+    Cycle now() const { return curCycle; }
+    const PipelineStats &stats() const { return pstats; }
+    BranchPredictor &branchPredictor() { return bpred; }
+    StoreSetPredictor &storeSetPredictor() { return storeSets; }
+    const OooParams &config() const { return params; }
 
-        LsqIndex storesByLine;
-        LsqIndex loadsByLine;
-        Cycle sqBoundCycle = CYCLE_INVALID;
-        SeqNum sqBound = 0;
-        std::deque<RetiredStore> storeBuffer;
-        std::unordered_map<Addr, std::vector<RetiredStore>> retiredByLine;
+    /** Export statistics into @p registry under the "ooo." prefix. */
+    void exportStats(StatRegistry &registry) const;
 
-        std::vector<std::vector<Cycle>> fuBusyUntil;
+    /** Dump pipeline occupancy and control state (debugging aid). */
+    void dumpState(std::ostream &os) const;
 
-        bool mappingActive = false;
-        SeqNum mappingTraceIdx = 0;
-        std::uint32_t mappingFetchRemaining = 0;
-        std::uint32_t mappingDispatchRemaining = 0;
-        std::uint32_t mappingIssueRemaining = 0;
-        std::uint32_t mappingCommitRemaining = 0;
+  private:
+    /** The invariant auditors inspect pipeline internals directly. */
+    friend class dynaspam::check::OooAuditor;
+    /** The fault-injection self-test seeds violations directly. */
+    friend class dynaspam::check::FaultInjector;
 
-        PipelineStats pstats;
+    // Stage functions, called in reverse pipeline order each tick.
+    void commitStage();
+    void executeStage();
+    void issueStage();
+    void renameStage();
+    void fetchStage();
+
+    // Helpers.
+    DynInst &robAt(SeqNum seq);
+    const DynInst *robFind(SeqNum seq) const;
+    bool isInstReady(const DynInst &inst) const;
+    bool olderStoresAllComplete(const DynInst &load) const;
+    void issueLoad(DynInst &load);
+    void issueStore(DynInst &store);
+    void checkViolations(const DynInst &store);
+    void squashFrom(SeqNum seq, SeqNum resume_trace_idx, Cycle restart);
+    void abortActiveMapping();
+    void startReadyInvocations();
+    Cycle physReady(RegIndex phys) const;
+
+    /** The issue-select policy in force this cycle. */
+    SelectPolicy *
+    selectPolicy()
+    {
+        return mappingPolicyActive ? mappingPolicy : &defaultPolicy;
+    }
+
+    // Wakeup-driven scheduler (see the readyByType block in OooCpuState).
+    void scheduleAtDispatch(DynInst &d);
+    void wakeConsumers(RegIndex phys);
+    void drainPendingWakeups();
+    void scrubSchedulerForSquash(SeqNum bound);
+    bool loadMemoryReady(const DynInst &load);
+    SeqNum incompleteStoreBound();
+
+    /** Cacheline granularity of the LSQ address index. */
+    static constexpr unsigned lsqLineShift = 6;
+    static Addr lsqLine(Addr addr) { return addr >> lsqLineShift; }
+
+    OooParams params;
+    const isa::DynamicTrace &trace;
+    mem::MemoryHierarchy &hierarchy;
+
+    BranchPredictor bpred;
+    StoreSetPredictor storeSets;
+    OldestFirstPolicy defaultPolicy;
+    /** Externally owned policy of the mapping phases (the DynaSpAM
+     *  controller's); set from fetch directives, rebound by restore(). */
+    SelectPolicy *mappingPolicy = nullptr;
+    TraceHooks *traceHooks = nullptr;
+    CommitObserver *observer = nullptr;
+    trace::TraceSink *tsink = nullptr;
+
+    std::size_t frontEndCap;
+    unsigned fuTypeOffsets[unsigned(isa::FuType::NUM_FU_TYPES)] = {};
+
+    static constexpr std::size_t storeBufferEntries = 16;
+
+    /** Reused live-in arrival scratch for startReadyInvocations(). */
+    std::vector<Cycle> arrivalScratch;
+
+  public:
+    /**
+     * Complete mutable CPU state for simulator snapshots: the pipeline
+     * state plus both predictors'. restore() requires a CPU built over
+     * the same trace with the same OooParams. DynInst pointer members
+     * stay valid because both sides reference the same immutable
+     * Program/DynamicTrace.
+     */
+    struct SavedState : OooCpuState
+    {
+        BranchPredictor::State bpred;
+        StoreSetPredictor::State storeSets;
 
         bool operator==(const SavedState &) const = default;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("bpred", bpred);
+            v("storeSets", storeSets);
+            OooCpuState::fields(v);
+        }
+
+        /** OooCpuState::wellFormed(), and every RAS checkpoint depth
+         *  fits the saved stack (checked on decode). */
+        bool wellFormed() const;
     };
 
-    /** Capture the full pipeline state into @p out (reuses capacity). */
+    /** Capture the full CPU state into @p out (reuses capacity). */
     void save(SavedState &out) const;
 
     /**
      * Restore a previously saved state. @p mapping_policy is the
-     * externally-owned policy both policy pointers rebind to when the
-     * saved state had one armed (the DynaSpAM controller's resource-aware
-     * policy); may be null when the state has activeIsDefault and
-     * pendingIsNull.
+     * externally-owned policy the pipeline selects with while the saved
+     * state has a mapping policy pending or active (the DynaSpAM
+     * controller's resource-aware policy); may be null otherwise.
      */
     void restore(const SavedState &in, SelectPolicy *mapping_policy);
+
+    /** @p in has this CPU's register-file, FU-pool and predictor table
+     *  sizes (restore() needs them). */
+    bool fits(const SavedState &in) const;
 };
 
 } // namespace dynaspam::ooo

@@ -86,6 +86,40 @@ struct DynInst
      *  snapshot purposes: both sides of a snapshot diff reference the
      *  same immutable Program/DynamicTrace instance. */
     bool operator==(const DynInst &) const = default;
+
+    /** Every member except the inst/record pointers, which are derived
+     *  from traceIdx and kind (and rebound that way on decode). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("seq", seq);
+        v("traceIdx", traceIdx);
+        v("pc", pc);
+        v("kind", kind);
+        v("traceLen", traceLen);
+        v("invocationId", invocationId);
+        v("destPhys", destPhys);
+        v("prevPhys", prevPhys);
+        v("src1Phys", src1Phys);
+        v("src2Phys", src2Phys);
+        v("fetchCycle", fetchCycle);
+        v("dispatchCycle", dispatchCycle);
+        v("issueCycle", issueCycle);
+        v("completeCycle", completeCycle);
+        v("inIq", inIq);
+        v("waitCount", waitCount);
+        v("issued", issued);
+        v("completed", completed);
+        v("mispredicted", mispredicted);
+        v("predictedTaken", predictedTaken);
+        v("rasCp", rasCp);
+        v("addrReady", addrReady);
+        v("dependsOnStore", dependsOnStore);
+        v("forwardedFromSeq", forwardedFromSeq);
+        v("mappingInst", mappingInst);
+        v("lastMappingInst", lastMappingInst);
+    }
 };
 
 } // namespace dynaspam::ooo

@@ -75,6 +75,16 @@ struct InvocationResult
     std::vector<std::pair<Addr, InstAddr>> storeEvents;
 
     bool operator==(const InvocationResult &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("squashed", squashed);
+        v("completeCycle", completeCycle);
+        v("liveOutReady", liveOutReady);
+        v("storeEvents", storeEvents);
+    }
 };
 
 /**

@@ -32,6 +32,17 @@ struct FuPoolParams
     }
 
     bool operator==(const FuPoolParams &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("intAlu", intAlu);
+        v("intMulDiv", intMulDiv);
+        v("fpAlu", fpAlu);
+        v("fpMulDiv", fpMulDiv);
+        v("ldst", ldst);
+    }
 };
 
 /** Full pipeline configuration. */

@@ -13,11 +13,12 @@ namespace dynaspam::ooo
 {
 
 StoreSetPredictor::StoreSetPredictor(const StoreSetParams &p)
-    : params(p), ssit(p.ssitEntries, STORE_SET_INVALID),
-      lfst(p.lfstEntries)
+    : params(p)
 {
     if (!p.ssitEntries || !p.lfstEntries)
         fatal("store-set tables must be non-empty");
+    ssit.assign(p.ssitEntries, STORE_SET_INVALID);
+    lfst.resize(p.lfstEntries);
 }
 
 void

@@ -45,12 +45,52 @@ inline constexpr StoreSetId STORE_SET_INVALID = ~StoreSetId(0);
  */
 inline constexpr SeqNum FABRIC_SEQ_FLAG = SeqNum(1) << 63;
 
+struct LfstEntry
+{
+    SeqNum storeSeq = 0;    ///< 0 means "no in-flight store"
+    InstAddr storePc = INST_ADDR_INVALID;
+
+    bool operator==(const LfstEntry &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("storeSeq", storeSeq);
+        v("storePc", storePc);
+    }
+};
+
+/** Mutable predictor state (table sizes are parameters). */
+struct StoreSetState
+{
+    std::vector<StoreSetId> ssit;
+    std::vector<LfstEntry> lfst;
+
+    StoreSetId nextId = 0;
+    std::uint64_t allocations = 0;
+    std::uint64_t statViolations = 0;
+
+    bool operator==(const StoreSetState &) const = default;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("ssit", ssit);
+        v("lfst", lfst);
+        v("nextId", nextId);
+        v("allocations", allocations);
+        v("statViolations", statViolations);
+    }
+};
+
 /**
  * Store-set predictor. PC-indexed; orthogonal to the structures that track
  * in-flight stores, which the caller owns (it supplies/queries sequence
  * numbers of the last fetched store per set).
  */
-class StoreSetPredictor
+class StoreSetPredictor : private StoreSetState
 {
   public:
     explicit StoreSetPredictor(const StoreSetParams &p = StoreSetParams{});
@@ -83,44 +123,16 @@ class StoreSetPredictor
 
     std::uint64_t violations() const { return statViolations; }
 
-    struct LfstEntry
+    using State = StoreSetState;
+
+    void save(State &out) const { out = *this; }
+    void restore(const State &in) { State::operator=(in); }
+
+    /** @p in has this predictor's table sizes (restore() needs them). */
+    bool
+    fits(const State &in) const
     {
-        SeqNum storeSeq = 0;    ///< 0 means "no in-flight store"
-        InstAddr storePc = INST_ADDR_INVALID;
-
-        bool operator==(const LfstEntry &) const = default;
-    };
-
-    /** Complete mutable predictor state (table sizes are parameters). */
-    struct SavedState
-    {
-        std::vector<StoreSetId> ssit;
-        std::vector<LfstEntry> lfst;
-        StoreSetId nextId = 0;
-        std::uint64_t allocations = 0;
-        std::uint64_t violations = 0;
-
-        bool operator==(const SavedState &) const = default;
-    };
-
-    void
-    save(SavedState &out) const
-    {
-        out.ssit = ssit;
-        out.lfst = lfst;
-        out.nextId = nextId;
-        out.allocations = allocations;
-        out.violations = statViolations;
-    }
-
-    void
-    restore(const SavedState &in)
-    {
-        ssit = in.ssit;
-        lfst = in.lfst;
-        nextId = in.nextId;
-        allocations = in.allocations;
-        statViolations = in.violations;
+        return in.ssit.size() == ssit.size() && in.lfst.size() == lfst.size();
     }
 
   private:
@@ -129,12 +141,6 @@ class StoreSetPredictor
     void maybeClear();
 
     StoreSetParams params;
-    std::vector<StoreSetId> ssit;
-    std::vector<LfstEntry> lfst;
-
-    StoreSetId nextId = 0;
-    std::uint64_t allocations = 0;
-    std::uint64_t statViolations = 0;
 };
 
 } // namespace dynaspam::ooo

@@ -100,12 +100,10 @@ runForkGroup(const std::vector<Job> &jobs,
                 snap_cache->load(snapKey, inputHash, &rejected)) {
             // Deserialization re-binds the snapshot to our freshly
             // built input; the restore below additionally requires the
-            // component presence (controller, verifier) to match what
-            // repCfg would construct, so validate before trusting it.
+            // components and table sizes repCfg constructs, so check
+            // against a simulation built from it before trusting it.
             if (sim::deserializeSnapshot(*body, input, safe) &&
-                safe.controller.has_value() ==
-                    (repCfg.mode != sim::SystemMode::BaselineOoo) &&
-                safe.verifier.has_value() == check::enabled()) {
+                sim::Simulation(repCfg, input).fits(safe)) {
                 haveSnapshot = true;
                 if (stats)
                     stats->snapshotHits++;

@@ -68,10 +68,8 @@ Simulation::restore(const Snapshot &in)
 {
     if (in.input.get() != input.get())
         fatal("snapshot restore across different simulation inputs");
-    if (in.controller.has_value() != (controller != nullptr))
-        fatal("snapshot restore: controller presence mismatch");
-    if (in.verifier.has_value() != (verifier != nullptr))
-        fatal("snapshot restore: verifier presence mismatch");
+    if (!fits(in))
+        fatal("snapshot restore: components or table sizes differ");
 
     hierarchy.restore(in.memory);
     cpu.restore(in.cpu,
@@ -80,6 +78,15 @@ Simulation::restore(const Snapshot &in)
         controller->restore(*in.controller);
     if (verifier)
         verifier->restore(*in.verifier);
+}
+
+bool
+Simulation::fits(const Snapshot &in) const
+{
+    return in.controller.has_value() == (controller != nullptr) &&
+           in.verifier.has_value() == (verifier != nullptr) &&
+           cpu.fits(in.cpu) && hierarchy.fits(in.memory) &&
+           (!controller || controller->fits(*in.controller));
 }
 
 RunResult

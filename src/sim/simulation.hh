@@ -78,6 +78,14 @@ class Simulation
      */
     void restore(const Snapshot &in);
 
+    /**
+     * @p in holds the components this simulation has (controller,
+     * verifier) with its table sizes: register file, FU pools,
+     * predictors, caches, T-Cache and config cache. restore() requires
+     * it; a decoded snapshot that fails it is refused, not restored.
+     */
+    bool fits(const Snapshot &in) const;
+
     /** Drive the simulation until every record has committed. */
     void
     runToCompletion()

@@ -100,6 +100,17 @@ struct Snapshot
     std::optional<core::DynaSpamController::SavedState> controller;
     /** Present when the saving simulation ran under DYNASPAM_CHECKS. */
     std::optional<check::Verifier::SavedState> verifier;
+
+    /** The saved state; `input` is identity, carried beside it. */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("cpu", cpu);
+        v("memory", memory);
+        v("controller", controller);
+        v("verifier", verifier);
+    }
 };
 
 } // namespace dynaspam::sim

@@ -2,23 +2,22 @@
  * @file
  * Snapshot body (de)serialization. See snapshot_io.hh for the rules.
  *
- * Private nested pipeline types (OooCpu::FrontEndInst, InvocationState,
- * LockstepChecker::CommitEvent, ...) are handled through templates and
- * deduced references: access control applies to *names*, so external
- * code may freely construct and mutate them via emplace_back() and
- * `auto &` as long as it never spells the type. The few classes with no
- * public field access at all (MappingSession, FunctionalMemory) carry
- * their own member serializers.
+ * The body is whatever Snapshot::fields() lists, recursively: a writer
+ * and a reader visit the same field lists (common/fields.hh), so the
+ * encoding of a component follows its State declaration and nothing
+ * here names a simulator member.
  */
 
 #include "sim/snapshot_io.hh"
 
 #include <algorithm>
 #include <map>
-#include <utility>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/binio.hh"
+#include "common/fields.hh"
 
 namespace dynaspam::sim
 {
@@ -26,1253 +25,350 @@ namespace dynaspam::sim
 namespace
 {
 
-using binio::Reader;
-using binio::Writer;
+static_assert(sizeof(std::size_t) == 8,
+              "the snapshot encoding writes size_t fields as 8 bytes");
 
-/** Sorted keys of an unordered map/set, for deterministic encoding. */
-template <typename Container>
-std::vector<typename Container::key_type>
-sortedKeys(const Container &c)
+// One past the largest valid value of each enum held in snapshot
+// state; a decoded value outside the range fails the stream.
+constexpr std::uint64_t
+enumEnd(ooo::RobKind)
 {
-    std::vector<typename Container::key_type> keys;
-    keys.reserve(c.size());
-    for (const auto &entry : c) {
-        if constexpr (requires { entry.first; })
-            keys.push_back(entry.first);
-        else
-            keys.push_back(entry);
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
+    return std::uint64_t(ooo::RobKind::TraceInvoke) + 1;
 }
 
-// --- small vector helpers -------------------------------------------------
-
-void
-writeU8Vec(Writer &out, const std::vector<std::uint8_t> &v)
+constexpr std::uint64_t
+enumEnd(isa::Opcode)
 {
-    out.u64(v.size());
-    out.raw(v.data(), v.size());
+    return std::uint64_t(isa::Opcode::NUM_OPCODES);
 }
 
-bool
-readU8Vec(Reader &in, std::vector<std::uint8_t> &v)
+constexpr std::uint64_t
+enumEnd(fabric::OperandRoute::Kind)
 {
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 1))
-        return false;
-    v.assign(count, 0);
-    in.raw(v.data(), v.size());
-    return in.ok();
+    return std::uint64_t(fabric::OperandRoute::Kind::Routed) + 1;
 }
 
-void
-writeRegVec(Writer &out, const std::vector<RegIndex> &v)
+template <class T> std::size_t minBytes();
+
+struct MinBytesVisitor
 {
-    out.u64(v.size());
-    for (RegIndex r : v)
-        out.u32(r);
-}
+    std::size_t total = 0;
 
-bool
-readRegVec(Reader &in, std::vector<RegIndex> &v)
-{
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 4))
-        return false;
-    v.clear();
-    v.reserve(count);
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        v.push_back(RegIndex(in.u32()));
-    return in.ok();
-}
-
-template <typename Vec>   // vector/deque of u64-convertible elements
-void
-writeU64Seq(Writer &out, const Vec &v)
-{
-    out.u64(v.size());
-    for (const auto &e : v)
-        out.u64(std::uint64_t(e));
-}
-
-template <typename Vec>
-bool
-readU64Seq(Reader &in, Vec &v)
-{
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    v.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        v.push_back(typename Vec::value_type(in.u64()));
-    return in.ok();
-}
-
-// --- branch predictor / store sets ---------------------------------------
-
-void
-writeBpred(Writer &out, const ooo::BranchPredictor::SavedState &s)
-{
-    writeU8Vec(out, s.localTable);
-    writeU8Vec(out, s.globalTable);
-    writeU8Vec(out, s.chooserTable);
-    out.u64(s.btb.size());
-    for (const auto &e : s.btb) {
-        out.u32(e.pc);
-        out.u32(e.target);
-    }
-    writeU64Seq(out, s.ras);
-    out.u64(s.rasTop);
-    out.u64(s.specHistory);
-    out.u64(s.archHistory);
-    out.u64(s.lookups);
-    out.u64(s.mispredicts);
-}
-
-bool
-readBpred(Reader &in, ooo::BranchPredictor::SavedState &s)
-{
-    if (!readU8Vec(in, s.localTable) || !readU8Vec(in, s.globalTable) ||
-        !readU8Vec(in, s.chooserTable))
-        return false;
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    s.btb.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &e = s.btb.emplace_back();
-        e.pc = in.u32();
-        e.target = in.u32();
-    }
-    if (!readU64Seq(in, s.ras))
-        return false;
-    s.rasTop = in.u64();
-    s.specHistory = in.u64();
-    s.archHistory = in.u64();
-    s.lookups = in.u64();
-    s.mispredicts = in.u64();
-    return in.ok();
-}
-
-void
-writeStoreSets(Writer &out, const ooo::StoreSetPredictor::SavedState &s)
-{
-    writeU64Seq(out, s.ssit);
-    out.u64(s.lfst.size());
-    for (const auto &e : s.lfst) {
-        out.u64(e.storeSeq);
-        out.u32(e.storePc);
-    }
-    out.u32(s.nextId);
-    out.u64(s.allocations);
-    out.u64(s.violations);
-}
-
-bool
-readStoreSets(Reader &in, ooo::StoreSetPredictor::SavedState &s)
-{
-    if (!readU64Seq(in, s.ssit))
-        return false;
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 12))
-        return false;
-    s.lfst.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &e = s.lfst.emplace_back();
-        e.storeSeq = in.u64();
-        e.storePc = in.u32();
-    }
-    s.nextId = in.u32();
-    s.allocations = in.u64();
-    s.violations = in.u64();
-    return in.ok();
-}
-
-// --- caches ---------------------------------------------------------------
-
-void
-writeCache(Writer &out, const mem::Cache::SavedState &s)
-{
-    out.u64(s.lines.size());
-    for (const auto &line : s.lines) {
-        out.u64(line.tag);
-        out.b(line.valid);
-        out.b(line.dirty);
-        out.u64(line.lastUse);
-    }
-    out.u64(s.useClock);
-    out.u64(s.hits);
-    out.u64(s.misses);
-    out.u64(s.writebacks);
-    out.u64(s.prefetchFills);
-}
-
-bool
-readCache(Reader &in, mem::Cache::SavedState &s)
-{
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 18))
-        return false;
-    s.lines.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &line = s.lines.emplace_back();
-        line.tag = in.u64();
-        line.valid = in.b();
-        line.dirty = in.b();
-        line.lastUse = in.u64();
-    }
-    s.useClock = in.u64();
-    s.hits = in.u64();
-    s.misses = in.u64();
-    s.writebacks = in.u64();
-    s.prefetchFills = in.u64();
-    return in.ok();
-}
-
-// --- pipeline -------------------------------------------------------------
-
-void
-writeRasCp(Writer &out, const ooo::RasCheckpoint &cp)
-{
-    out.u64(cp.top);
-    out.u32(cp.tos);
-}
-
-void
-readRasCp(Reader &in, ooo::RasCheckpoint &cp)
-{
-    cp.top = in.u64();
-    cp.tos = in.u32();
-}
-
-template <typename FE>   // OooCpu::FrontEndInst (private; deduced)
-void
-writeFrontEndInst(Writer &out, const FE &fe)
-{
-    out.u64(fe.traceIdx);
-    out.u64(fe.readyAtRename);
-    out.b(fe.mispredicted);
-    out.b(fe.predictedTaken);
-    writeRasCp(out, fe.rasCp);
-    out.b(fe.mappingInst);
-    out.b(fe.firstMappingInst);
-    out.b(fe.lastMappingInst);
-    out.b(fe.isInvocation);
-    out.u32(fe.numRecords);
-    writeRegVec(out, fe.liveIns);
-    writeRegVec(out, fe.liveOuts);
-    out.b(fe.hasStores);
-}
-
-template <typename FE>
-bool
-readFrontEndInst(Reader &in, FE &fe)
-{
-    fe.traceIdx = in.u64();
-    fe.readyAtRename = in.u64();
-    fe.mispredicted = in.b();
-    fe.predictedTaken = in.b();
-    readRasCp(in, fe.rasCp);
-    fe.mappingInst = in.b();
-    fe.firstMappingInst = in.b();
-    fe.lastMappingInst = in.b();
-    fe.isInvocation = in.b();
-    fe.numRecords = in.u32();
-    return readRegVec(in, fe.liveIns) && readRegVec(in, fe.liveOuts) &&
-           ((fe.hasStores = in.b()), in.ok());
-}
-
-void
-writeDynInst(Writer &out, const ooo::DynInst &di)
-{
-    // The inst/record pointers are derived state: re-bound on load from
-    // traceIdx + kind against the SimInput.
-    out.u64(di.seq);
-    out.u64(di.traceIdx);
-    out.u32(di.pc);
-    out.u8(std::uint8_t(di.kind));
-    out.u32(di.traceLen);
-    out.u32(di.invocationId);
-    out.u32(di.destPhys);
-    out.u32(di.prevPhys);
-    out.u32(di.src1Phys);
-    out.u32(di.src2Phys);
-    out.u64(di.fetchCycle);
-    out.u64(di.dispatchCycle);
-    out.u64(di.issueCycle);
-    out.u64(di.completeCycle);
-    out.b(di.inIq);
-    out.u8(di.waitCount);
-    out.b(di.issued);
-    out.b(di.completed);
-    out.b(di.mispredicted);
-    out.b(di.predictedTaken);
-    writeRasCp(out, di.rasCp);
-    out.b(di.addrReady);
-    out.u64(di.dependsOnStore);
-    out.u64(di.forwardedFromSeq);
-    out.b(di.mappingInst);
-    out.b(di.lastMappingInst);
-}
-
-bool
-readDynInst(Reader &in, const isa::DynamicTrace &trace, ooo::DynInst &di)
-{
-    di.seq = in.u64();
-    di.traceIdx = in.u64();
-    di.pc = in.u32();
-    std::uint8_t kind = in.u8();
-    if (kind > std::uint8_t(ooo::RobKind::TraceInvoke)) {
-        in.fail();
-        return false;
-    }
-    di.kind = ooo::RobKind(kind);
-    di.traceLen = in.u32();
-    di.invocationId = in.u32();
-    di.destPhys = RegIndex(in.u32());
-    di.prevPhys = RegIndex(in.u32());
-    di.src1Phys = RegIndex(in.u32());
-    di.src2Phys = RegIndex(in.u32());
-    di.fetchCycle = in.u64();
-    di.dispatchCycle = in.u64();
-    di.issueCycle = in.u64();
-    di.completeCycle = in.u64();
-    di.inIq = in.b();
-    di.waitCount = in.u8();
-    di.issued = in.b();
-    di.completed = in.b();
-    di.mispredicted = in.b();
-    di.predictedTaken = in.b();
-    readRasCp(in, di.rasCp);
-    di.addrReady = in.b();
-    di.dependsOnStore = in.u64();
-    di.forwardedFromSeq = in.u64();
-    di.mappingInst = in.b();
-    di.lastMappingInst = in.b();
-    if (!in.ok())
-        return false;
-
-    // Rebind the derived pointers: record always references the oracle
-    // trace slot; inst only for real instructions (TraceInvoke pseudo-ops
-    // carry no static instruction).
-    if (di.traceIdx >= trace.size()) {
-        in.fail();
-        return false;
-    }
-    di.record = &trace[di.traceIdx];
-    if (di.kind == ooo::RobKind::Inst) {
-        if (di.record->pc >= trace.program().size()) {
-            in.fail();
-            return false;
-        }
-        di.inst = &trace.program().inst(di.record->pc);
-    } else {
-        di.inst = nullptr;
-    }
-    return true;
-}
-
-template <typename Res>   // ooo::InvocationResult (public, but keep uniform)
-void
-writeInvocationResult(Writer &out, const Res &res)
-{
-    out.b(res.squashed);
-    out.u64(res.completeCycle);
-    writeU64Seq(out, res.liveOutReady);
-    out.u64(res.storeEvents.size());
-    for (const auto &[addr, pc] : res.storeEvents) {
-        out.u64(addr);
-        out.u32(pc);
-    }
-}
-
-template <typename Res>
-bool
-readInvocationResult(Reader &in, Res &res)
-{
-    res.squashed = in.b();
-    res.completeCycle = in.u64();
-    if (!readU64Seq(in, res.liveOutReady))
-        return false;
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 12))
-        return false;
-    res.storeEvents.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        Addr addr = in.u64();
-        InstAddr pc = in.u32();
-        res.storeEvents.emplace_back(addr, pc);
-    }
-    return in.ok();
-}
-
-void
-writePipelineStats(Writer &out, const ooo::PipelineStats &s)
-{
-    out.u64(s.cycles);
-    out.u64(s.fetchedInsts);
-    out.u64(s.renamedInsts);
-    out.u64(s.dispatchedInsts);
-    out.u64(s.issuedInsts);
-    out.u64(s.committedInsts);
-    out.u64(s.committedOnHost);
-    out.u64(s.squashedInsts);
-    out.u64(s.branchMispredicts);
-    out.u64(s.memOrderViolations);
-    out.u64(s.regReads);
-    out.u64(s.regWrites);
-    out.u64(s.bypasses);
-    out.u64(s.iqWakeups);
-    for (unsigned i = 0; i < unsigned(isa::FuType::NUM_FU_TYPES); i++)
-        out.u64(s.fuOps[i]);
-    out.u64(s.loadForwards);
-    out.u64(s.icacheAccesses);
-    out.u64(s.dcacheAccesses);
-    out.u64(s.robWrites);
-    out.u64(s.robReads);
-    out.u64(s.invocationsCommitted);
-    out.u64(s.invocationsSquashed);
-    out.u64(s.mappingInstsExecuted);
-}
-
-void
-readPipelineStats(Reader &in, ooo::PipelineStats &s)
-{
-    s.cycles = in.u64();
-    s.fetchedInsts = in.u64();
-    s.renamedInsts = in.u64();
-    s.dispatchedInsts = in.u64();
-    s.issuedInsts = in.u64();
-    s.committedInsts = in.u64();
-    s.committedOnHost = in.u64();
-    s.squashedInsts = in.u64();
-    s.branchMispredicts = in.u64();
-    s.memOrderViolations = in.u64();
-    s.regReads = in.u64();
-    s.regWrites = in.u64();
-    s.bypasses = in.u64();
-    s.iqWakeups = in.u64();
-    for (unsigned i = 0; i < unsigned(isa::FuType::NUM_FU_TYPES); i++)
-        s.fuOps[i] = in.u64();
-    s.loadForwards = in.u64();
-    s.icacheAccesses = in.u64();
-    s.dcacheAccesses = in.u64();
-    s.robWrites = in.u64();
-    s.robReads = in.u64();
-    s.invocationsCommitted = in.u64();
-    s.invocationsSquashed = in.u64();
-    s.mappingInstsExecuted = in.u64();
-}
-
-/** LsqIndex (unordered_map<Addr, vector<SeqNum>>), sorted by line. */
-template <typename Map>
-void
-writeLineIndex(Writer &out, const Map &index)
-{
-    out.u64(index.size());
-    for (Addr line : sortedKeys(index)) {
-        out.u64(line);
-        writeU64Seq(out, index.at(line));
-    }
-}
-
-template <typename Map>
-bool
-readLineIndex(Reader &in, Map &index)
-{
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 16))
-        return false;
-    index.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        Addr line = in.u64();
-        if (!readU64Seq(in, index[line]))
-            return false;
-    }
-    return in.ok();
-}
-
-void
-writeCpu(Writer &out, const ooo::OooCpu::SavedState &s)
-{
-    writeBpred(out, s.bpred);
-    writeStoreSets(out, s.storeSets);
-    out.b(s.activeIsDefault);
-    out.b(s.pendingIsNull);
-    out.u64(s.curCycle);
-    out.u64(s.nextSeq);
-    out.u64(s.fetchIdx);
-    out.u64(s.commitIdx);
-    out.u64(s.fetchResumeCycle);
-    out.b(s.fetchBlockedOnBranch);
-    out.u64(s.lastFetchBlock);
-
-    out.u64(s.frontEnd.size());
-    for (const auto &fe : s.frontEnd)
-        writeFrontEndInst(out, fe);
-
-    writeRegVec(out, s.rat);
-    writeRegVec(out, s.freeList);
-    writeU64Seq(out, s.physReadyCycle);
-
-    out.u64(s.rob.size());
-    for (const auto &di : s.rob)
-        writeDynInst(out, di);
-    writeU64Seq(out, s.iq);
-    writeU64Seq(out, s.loadQueue);
-    writeU64Seq(out, s.storeQueue);
-
-    out.u64(s.invocations.size());
-    for (const auto &[seq, inv] : s.invocations) {
-        out.u64(seq);
-        writeRegVec(out, inv.liveInPhys);
-        writeRegVec(out, inv.liveOutArch);
-        writeRegVec(out, inv.liveOutPhys);
-        writeRegVec(out, inv.liveOutPrevPhys);
-        out.b(inv.hasStores);
-        out.b(inv.resolved);
-        writeInvocationResult(out, inv.result);
-    }
-
-    out.u64(s.readyByType.size());
-    for (const auto &v : s.readyByType)
-        writeU64Seq(out, v);
-    out.u64(s.pendingByType.size());
-    for (const auto &v : s.pendingByType) {
-        out.u64(v.size());
-        for (const auto &w : v) {
-            out.u64(w.readyCycle);
-            out.u64(w.seq);
-        }
-    }
-    out.u64(s.regConsumers.size());
-    for (const auto &v : s.regConsumers)
-        writeU64Seq(out, v);
-    out.u64(s.readyCount);
-    out.u64(s.pendingCount);
-
-    writeLineIndex(out, s.storesByLine);
-    writeLineIndex(out, s.loadsByLine);
-    out.u64(s.sqBoundCycle);
-    out.u64(s.sqBound);
-    out.u64(s.storeBuffer.size());
-    for (const auto &rs : s.storeBuffer) {
-        out.u64(rs.addr);
-        out.u64(rs.dataReady);
-        out.u64(rs.seq);
-    }
-    out.u64(s.retiredByLine.size());
-    for (Addr line : sortedKeys(s.retiredByLine)) {
-        out.u64(line);
-        const auto &vec = s.retiredByLine.at(line);
-        out.u64(vec.size());
-        for (const auto &rs : vec) {
-            out.u64(rs.addr);
-            out.u64(rs.dataReady);
-            out.u64(rs.seq);
-        }
-    }
-
-    out.u64(s.fuBusyUntil.size());
-    for (const auto &v : s.fuBusyUntil)
-        writeU64Seq(out, v);
-
-    out.b(s.mappingActive);
-    out.u64(s.mappingTraceIdx);
-    out.u32(s.mappingFetchRemaining);
-    out.u32(s.mappingDispatchRemaining);
-    out.u32(s.mappingIssueRemaining);
-    out.u32(s.mappingCommitRemaining);
-    writePipelineStats(out, s.pstats);
-}
-
-bool
-readCpu(Reader &in, const isa::DynamicTrace &trace,
-        ooo::OooCpu::SavedState &s)
-{
-    if (!readBpred(in, s.bpred) || !readStoreSets(in, s.storeSets))
-        return false;
-    s.activeIsDefault = in.b();
-    s.pendingIsNull = in.b();
-    s.curCycle = in.u64();
-    s.nextSeq = in.u64();
-    s.fetchIdx = in.u64();
-    s.commitIdx = in.u64();
-    s.fetchResumeCycle = in.u64();
-    s.fetchBlockedOnBranch = in.b();
-    s.lastFetchBlock = in.u64();
-
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 32))
-        return false;
-    s.frontEnd.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &fe = s.frontEnd.emplace_back();
-        if (!readFrontEndInst(in, fe))
-            return false;
-    }
-
-    if (!readRegVec(in, s.rat) || !readRegVec(in, s.freeList) ||
-        !readU64Seq(in, s.physReadyCycle))
-        return false;
-
-    count = in.u64();
-    if (!in.checkCount(count, 64))
-        return false;
-    s.rob.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &di = s.rob.emplace_back();
-        if (!readDynInst(in, trace, di))
-            return false;
-    }
-    if (!readU64Seq(in, s.iq) || !readU64Seq(in, s.loadQueue) ||
-        !readU64Seq(in, s.storeQueue))
-        return false;
-
-    count = in.u64();
-    if (!in.checkCount(count, 16))
-        return false;
-    while (!s.invocations.empty())
-        s.invocations.erase(s.invocations.begin()->first);
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        SeqNum seq = in.u64();
-        s.invocations.emplace(seq, {});
-        auto *inv = s.invocations.find(seq);
-        if (!readRegVec(in, inv->liveInPhys) ||
-            !readRegVec(in, inv->liveOutArch) ||
-            !readRegVec(in, inv->liveOutPhys) ||
-            !readRegVec(in, inv->liveOutPrevPhys))
-            return false;
-        inv->hasStores = in.b();
-        inv->resolved = in.b();
-        if (!readInvocationResult(in, inv->result))
-            return false;
-    }
-
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    s.readyByType.assign(count, {});
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        if (!readU64Seq(in, s.readyByType[i]))
-            return false;
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    s.pendingByType.assign(count, {});
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        std::uint64_t inner = in.u64();
-        if (!in.checkCount(inner, 16))
-            return false;
-        for (std::uint64_t j = 0; j < inner && in.ok(); j++) {
-            auto &w = s.pendingByType[i].emplace_back();
-            w.readyCycle = in.u64();
-            w.seq = in.u64();
-        }
-    }
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    s.regConsumers.assign(count, {});
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        if (!readU64Seq(in, s.regConsumers[i]))
-            return false;
-    s.readyCount = in.u64();
-    s.pendingCount = in.u64();
-
-    if (!readLineIndex(in, s.storesByLine) ||
-        !readLineIndex(in, s.loadsByLine))
-        return false;
-    s.sqBoundCycle = in.u64();
-    s.sqBound = in.u64();
-    count = in.u64();
-    if (!in.checkCount(count, 24))
-        return false;
-    s.storeBuffer.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &rs = s.storeBuffer.emplace_back();
-        rs.addr = in.u64();
-        rs.dataReady = in.u64();
-        rs.seq = in.u64();
-    }
-    count = in.u64();
-    if (!in.checkCount(count, 16))
-        return false;
-    s.retiredByLine.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        Addr line = in.u64();
-        std::uint64_t inner = in.u64();
-        if (!in.checkCount(inner, 24))
-            return false;
-        auto &vec = s.retiredByLine[line];
-        for (std::uint64_t j = 0; j < inner && in.ok(); j++) {
-            auto &rs = vec.emplace_back();
-            rs.addr = in.u64();
-            rs.dataReady = in.u64();
-            rs.seq = in.u64();
-        }
-    }
-
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    s.fuBusyUntil.assign(count, {});
-    for (std::uint64_t i = 0; i < count && in.ok(); i++)
-        if (!readU64Seq(in, s.fuBusyUntil[i]))
-            return false;
-
-    s.mappingActive = in.b();
-    s.mappingTraceIdx = in.u64();
-    s.mappingFetchRemaining = in.u32();
-    s.mappingDispatchRemaining = in.u32();
-    s.mappingIssueRemaining = in.u32();
-    s.mappingCommitRemaining = in.u32();
-    readPipelineStats(in, s.pstats);
-    return in.ok();
-}
-
-// --- fabric configs (deduplicated pool) -----------------------------------
-
-void
-writeRoute(Writer &out, const fabric::OperandRoute &route)
-{
-    out.u8(std::uint8_t(route.kind));
-    out.u32(route.producerIdx);
-    out.u32(route.liveInIdx);
-    out.u32(route.hops);
-}
-
-bool
-readRoute(Reader &in, fabric::OperandRoute &route)
-{
-    std::uint8_t kind = in.u8();
-    if (kind > std::uint8_t(fabric::OperandRoute::Kind::Routed)) {
-        in.fail();
-        return false;
-    }
-    route.kind = fabric::OperandRoute::Kind(kind);
-    route.producerIdx = std::uint16_t(in.u32());
-    route.liveInIdx = std::uint16_t(in.u32());
-    route.hops = std::uint16_t(in.u32());
-    return in.ok();
-}
-
-void
-writeConfigBody(Writer &out, const fabric::FabricConfig &config)
-{
-    out.u64(config.key);
-    out.u64(config.mappedFromIdx);
-    out.u32(config.numRecords);
-    out.u64(config.insts.size());
-    for (const auto &mi : config.insts) {
-        out.u32(mi.pc);
-        out.u8(std::uint8_t(mi.op));
-        out.u8(mi.pe.stripe);
-        out.u8(mi.pe.index);
-        writeRoute(out, mi.src1);
-        writeRoute(out, mi.src2);
-        out.u32(mi.destArch);
-        out.b(mi.isLoad);
-        out.b(mi.isStore);
-        out.b(mi.isBranch);
-        out.b(mi.expectedTaken);
-    }
-    writeRegVec(out, config.liveIns);
-    out.u64(config.liveOuts.size());
-    for (const auto &lo : config.liveOuts) {
-        out.u32(lo.arch);
-        out.u32(lo.producerIdx);
-    }
-    out.b(config.hasStores);
-    out.u8(config.stripesUsed);
-}
-
-bool
-readConfigBody(Reader &in, fabric::FabricConfig &config)
-{
-    config.key = in.u64();
-    config.mappedFromIdx = in.u64();
-    config.numRecords = in.u32();
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 37))
-        return false;
-    config.insts.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &mi = config.insts.emplace_back();
-        mi.pc = in.u32();
-        std::uint8_t op = in.u8();
-        if (op >= std::uint8_t(isa::Opcode::NUM_OPCODES)) {
-            in.fail();
-            return false;
-        }
-        mi.op = isa::Opcode(op);
-        mi.pe.stripe = in.u8();
-        mi.pe.index = in.u8();
-        if (!readRoute(in, mi.src1) || !readRoute(in, mi.src2))
-            return false;
-        mi.destArch = RegIndex(in.u32());
-        mi.isLoad = in.b();
-        mi.isStore = in.b();
-        mi.isBranch = in.b();
-        mi.expectedTaken = in.b();
-    }
-    if (!readRegVec(in, config.liveIns))
-        return false;
-    count = in.u64();
-    if (!in.checkCount(count, 8))
-        return false;
-    config.liveOuts.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &lo = config.liveOuts.emplace_back();
-        lo.arch = RegIndex(in.u32());
-        lo.producerIdx = std::uint16_t(in.u32());
-    }
-    config.hasStores = in.b();
-    config.stripesUsed = in.u8();
-    return in.ok();
-}
-
-/**
- * Deduplicating writer for shared FabricConfig pointers. A config
- * referenced from several places (ConfigCache entry, live fabric
- * snapshot, pending invocation) is written once; later references
- * carry only its pool id, and the reader reconstructs the sharing.
- * Id 0 is the null pointer.
- */
-class ConfigPoolWriter
-{
-  public:
+    template <class F>
     void
-    write(Writer &out,
-          const std::shared_ptr<const fabric::FabricConfig> &config)
+    operator()(const char *, F &)
     {
-        if (!config) {
-            out.u32(0);
-            return;
-        }
-        auto it = ids.find(config.get());
-        if (it != ids.end()) {
-            out.u32(it->second);
-            return;
-        }
-        std::uint32_t id = std::uint32_t(ids.size()) + 1;
-        ids.emplace(config.get(), id);
-        out.u32(id);
-        writeConfigBody(out, *config);
+        total += minBytes<F>();
     }
-
-  private:
-    std::map<const fabric::FabricConfig *, std::uint32_t> ids;
 };
 
-/** Reader-side pool mirroring ConfigPoolWriter's id assignment. */
-class ConfigPoolReader
+/** Fewest bytes one encoded T takes: the bound for decoded counts. */
+template <class T>
+std::size_t
+minBytes()
+{
+    if constexpr (fields::isScalar<T>) {
+        return sizeof(T);
+    } else if constexpr (fields::IsSequence<T>::value ||
+                         fields::IsMap<T>::value ||
+                         fields::IsSet<T>::value) {
+        return 8;
+    } else if constexpr (fields::IsOptional<T>::value) {
+        return 1;
+    } else if constexpr (fields::SharedConst<T>) {
+        return 4;
+    } else if constexpr (fields::IsPair<T>::value) {
+        return minBytes<typename T::first_type>() +
+               minBytes<typename T::second_type>();
+    } else if constexpr (fields::IsArray<T>::value) {
+        return fields::IsArray<T>::size *
+               minBytes<typename fields::IsArray<T>::Elem>();
+    } else {
+        static const std::size_t bytes = [] {
+            T sample{};
+            MinBytesVisitor v;
+            sample.fields(v);
+            return v.total;
+        }();
+        return bytes;
+    }
+}
+
+/** True for 1-byte integers stored contiguously (bulk-copied). */
+template <class T>
+inline constexpr bool isByteVector = false;
+template <class E>
+inline constexpr bool isByteVector<std::vector<E>> =
+    std::is_integral_v<E> && sizeof(E) == 1 && !std::is_same_v<E, bool>;
+
+/** Encodes a field list little-endian, unordered containers sorted by
+ *  key and each shared FabricConfig once (later references by id). */
+class FieldWriter
 {
   public:
-    bool
-    read(Reader &in,
-         std::shared_ptr<const fabric::FabricConfig> &config)
+    template <class F>
+    void
+    operator()(const char *, const F &field)
     {
-        std::uint32_t id = in.u32();
-        if (id == 0) {
-            config = nullptr;
-            return in.ok();
+        put(field);
+    }
+
+    template <class T>
+    void
+    put(const T &value)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            out.b(value);
+        } else if constexpr (std::is_enum_v<T>) {
+            put(std::underlying_type_t<T>(value));
+        } else if constexpr (std::is_integral_v<T>) {
+            using U = std::make_unsigned_t<T>;
+            if constexpr (sizeof(T) == 1)
+                out.u8(U(value));
+            else if constexpr (sizeof(T) == 2)
+                out.u16(U(value));
+            else if constexpr (sizeof(T) == 4)
+                out.u32(U(value));
+            else
+                out.u64(U(value));
+        } else if constexpr (isByteVector<T>) {
+            out.u64(value.size());
+            out.raw(value.data(), value.size());
+        } else if constexpr (fields::IsSequence<T>::value) {
+            out.u64(value.size());
+            for (const auto &elem : value)
+                put(elem);
+        } else if constexpr (fields::IsMap<T>::value) {
+            std::vector<const typename T::value_type *> entries;
+            entries.reserve(value.size());
+            for (const auto &entry : value)
+                entries.push_back(&entry);
+            std::sort(entries.begin(), entries.end(),
+                      [](auto *a, auto *b) { return a->first < b->first; });
+            out.u64(entries.size());
+            for (const auto *entry : entries) {
+                put(entry->first);
+                put(entry->second);
+            }
+        } else if constexpr (fields::IsSet<T>::value) {
+            std::vector<typename T::key_type> keys(value.begin(),
+                                                   value.end());
+            std::sort(keys.begin(), keys.end());
+            put(keys);
+        } else if constexpr (fields::IsOptional<T>::value) {
+            out.b(value.has_value());
+            if (value)
+                put(*value);
+        } else if constexpr (fields::SharedConst<T>) {
+            static_assert(std::is_same_v<typename T::element_type,
+                                         const fabric::FabricConfig>,
+                          "only FabricConfig is pooled");
+            if (!value) {
+                out.u32(0);
+                return;
+            }
+            auto [it, fresh] = pool.try_emplace(
+                value.get(), std::uint32_t(pool.size() + 1));
+            out.u32(it->second);
+            if (fresh)
+                put(*value);
+        } else if constexpr (fields::IsPair<T>::value) {
+            put(value.first);
+            put(value.second);
+        } else if constexpr (fields::IsArray<T>::value) {
+            for (const auto &elem : value)
+                put(elem);
+        } else {
+            static_assert(fields::HasFields<T>,
+                          "snapshot state member of an unsupported type");
+            fields::visitConst(value, *this);
         }
-        if (std::size_t(id) <= pool.size()) {
-            config = pool[id - 1];
-            return true;
+    }
+
+    std::string take() { return out.take(); }
+
+  private:
+    binio::Writer out;
+    std::map<const void *, std::uint32_t> pool;
+};
+
+/**
+ * Decodes what FieldWriter wrote, failing soft: every count is bounded
+ * by the bytes left, every enum by its range, unordered keys must come
+ * strictly ascending, config ids densely, and each decoded structure
+ * with a wellFormed() predicate must satisfy it. DynInst pointers are
+ * re-derived from their trace index against the caller's SimInput.
+ */
+class FieldReader
+{
+  public:
+    FieldReader(std::string_view bytes, const isa::DynamicTrace &t)
+        : in(bytes), trace(t)
+    {
+    }
+
+    template <class F>
+    void
+    operator()(const char *, F &field)
+    {
+        get(field);
+    }
+
+    template <class T>
+    void
+    get(T &value)
+    {
+        if (!in.ok())
+            return;
+        if constexpr (std::is_same_v<T, bool>) {
+            value = in.b();
+        } else if constexpr (std::is_enum_v<T>) {
+            std::underlying_type_t<T> raw{};
+            get(raw);
+            if (std::uint64_t(raw) >= enumEnd(T{}))
+                in.fail();
+            else
+                value = T(raw);
+        } else if constexpr (std::is_integral_v<T>) {
+            using U = std::make_unsigned_t<T>;
+            if constexpr (sizeof(T) == 1)
+                value = T(U(in.u8()));
+            else if constexpr (sizeof(T) == 2)
+                value = T(U(in.u16()));
+            else if constexpr (sizeof(T) == 4)
+                value = T(U(in.u32()));
+            else
+                value = T(U(in.u64()));
+        } else if constexpr (isByteVector<T>) {
+            const std::uint64_t count = in.u64();
+            if (!in.checkCount(count, 1))
+                return;
+            value.resize(count);
+            in.raw(value.data(), value.size());
+        } else if constexpr (std::is_same_v<T, std::vector<bool>>) {
+            const std::uint64_t count = in.u64();
+            if (!in.checkCount(count, 1))
+                return;
+            value.assign(count, false);
+            for (std::uint64_t i = 0; i < count && in.ok(); i++)
+                value[i] = in.b();
+        } else if constexpr (fields::IsSequence<T>::value) {
+            const std::uint64_t count = in.u64();
+            if (!in.checkCount(count, minBytes<typename T::value_type>()))
+                return;
+            value.clear();
+            for (std::uint64_t i = 0; i < count && in.ok(); i++)
+                get(value.emplace_back());
+        } else if constexpr (fields::IsMap<T>::value) {
+            using K = typename T::key_type;
+            const std::uint64_t count = in.u64();
+            if (!in.checkCount(count, minBytes<K>() +
+                                          minBytes<typename T::mapped_type>()))
+                return;
+            value.clear();
+            K prev{};
+            for (std::uint64_t i = 0; i < count && in.ok(); i++) {
+                K key{};
+                get(key);
+                if (!ascending(i, prev, key))
+                    return;
+                get(value[key]);
+            }
+        } else if constexpr (fields::IsSet<T>::value) {
+            using K = typename T::key_type;
+            const std::uint64_t count = in.u64();
+            if (!in.checkCount(count, minBytes<K>()))
+                return;
+            value.clear();
+            K prev{};
+            for (std::uint64_t i = 0; i < count && in.ok(); i++) {
+                K key{};
+                get(key);
+                if (!ascending(i, prev, key))
+                    return;
+                value.insert(key);
+            }
+        } else if constexpr (fields::IsOptional<T>::value) {
+            if (in.b())
+                get(value.emplace());
+            else
+                value.reset();
+        } else if constexpr (fields::SharedConst<T>) {
+            const std::uint32_t id = in.u32();
+            if (id == 0) {
+                value = nullptr;
+            } else if (id <= pool.size()) {
+                value = pool[id - 1];
+            } else if (id == pool.size() + 1) {
+                auto fresh = std::make_shared<fabric::FabricConfig>();
+                get(*fresh);
+                pool.push_back(fresh);
+                value = std::move(fresh);
+            } else {
+                in.fail();  // ids are assigned densely in write order
+            }
+        } else if constexpr (fields::IsPair<T>::value) {
+            get(value.first);
+            get(value.second);
+        } else if constexpr (fields::IsArray<T>::value) {
+            for (auto &elem : value)
+                get(elem);
+        } else {
+            value.fields(*this);
+            if constexpr (std::is_same_v<T, ooo::DynInst>)
+                rebind(value);
+            if constexpr (requires { value.wellFormed(); }) {
+                if (in.ok() && !value.wellFormed())
+                    in.fail();
+            }
         }
-        if (std::size_t(id) != pool.size() + 1) {
-            in.fail();  // ids are assigned densely in write order
+    }
+
+    /** The whole body decoded and nothing is left over: trailing bytes
+     *  mean the file was framed for a different encoding. */
+    bool done() const { return in.ok() && in.remaining() == 0; }
+
+  private:
+    /** Keys of unordered containers are written sorted and unique. */
+    template <class K>
+    bool
+    ascending(std::uint64_t index, K &prev, const K &key)
+    {
+        if (index > 0 && !(prev < key)) {
+            in.fail();
             return false;
         }
-        auto fresh = std::make_shared<fabric::FabricConfig>();
-        if (!readConfigBody(in, *fresh))
-            return false;
-        pool.push_back(fresh);
-        config = std::move(fresh);
+        prev = key;
         return true;
     }
 
-  private:
+    /** Re-derive the DynInst pointers: record always references the
+     *  oracle trace slot; inst only for real instructions (TraceInvoke
+     *  pseudo-ops carry no static instruction). */
+    void
+    rebind(ooo::DynInst &di)
+    {
+        if (!in.ok())
+            return;
+        if (di.traceIdx >= trace.size()) {
+            in.fail();
+            return;
+        }
+        di.record = &trace[di.traceIdx];
+        di.inst = nullptr;
+        if (di.kind == ooo::RobKind::Inst) {
+            if (di.record->pc >= trace.program().size()) {
+                in.fail();
+                return;
+            }
+            di.inst = &trace.program().inst(di.record->pc);
+        }
+    }
+
+    binio::Reader in;
+    const isa::DynamicTrace &trace;
     std::vector<std::shared_ptr<const fabric::FabricConfig>> pool;
 };
-
-// --- controller -----------------------------------------------------------
-
-void
-writeFabricSnapshot(Writer &out, ConfigPoolWriter &pool,
-                    const fabric::Fabric::Snapshot &snap)
-{
-    pool.write(out, snap.config);
-    out.u64(snap.configReadyCycle);
-    out.u64(snap.lastUse);
-    writeU64Seq(out, snap.prevInstComplete);
-    writeU64Seq(out, snap.prevLiveOutInternal);
-    out.u64(snap.prevTraceEndIdx);
-    writeU64Seq(out, snap.inflightWindow);
-    out.u64(snap.recentStores.size());
-    for (const auto &rs : snap.recentStores) {
-        out.u64(rs.addr);
-        out.u64(rs.completeCycle);
-        out.u32(rs.pc);
-        out.u64(rs.seq);
-    }
-    out.u64(snap.lastMemCompletePersist);
-    out.u64(snap.invocationsOnConfig);
-}
-
-bool
-readFabricSnapshot(Reader &in, ConfigPoolReader &pool,
-                   fabric::Fabric::Snapshot &snap)
-{
-    if (!pool.read(in, snap.config))
-        return false;
-    snap.configReadyCycle = in.u64();
-    snap.lastUse = in.u64();
-    if (!readU64Seq(in, snap.prevInstComplete) ||
-        !readU64Seq(in, snap.prevLiveOutInternal))
-        return false;
-    snap.prevTraceEndIdx = in.u64();
-    if (!readU64Seq(in, snap.inflightWindow))
-        return false;
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 28))
-        return false;
-    snap.recentStores.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &rs = snap.recentStores.emplace_back();
-        rs.addr = in.u64();
-        rs.completeCycle = in.u64();
-        rs.pc = in.u32();
-        rs.seq = in.u64();
-    }
-    snap.lastMemCompletePersist = in.u64();
-    snap.invocationsOnConfig = in.u64();
-    return in.ok();
-}
-
-void
-writeFabricStats(Writer &out, const fabric::FabricStats &s)
-{
-    out.u64(s.invocations);
-    out.u64(s.squashedInvocations);
-    out.u64(s.peOps);
-    out.u64(s.datapathHops);
-    out.u64(s.fifoPushes);
-    out.u64(s.busTransfers);
-    out.u64(s.dcacheAccesses);
-    out.u64(s.reconfigurations);
-    out.u64(s.memViolations);
-    out.u64(s.activeStripeInvocations);
-}
-
-void
-readFabricStats(Reader &in, fabric::FabricStats &s)
-{
-    s.invocations = in.u64();
-    s.squashedInvocations = in.u64();
-    s.peOps = in.u64();
-    s.datapathHops = in.u64();
-    s.fifoPushes = in.u64();
-    s.busTransfers = in.u64();
-    s.dcacheAccesses = in.u64();
-    s.reconfigurations = in.u64();
-    s.memViolations = in.u64();
-    s.activeStripeInvocations = in.u64();
-}
-
-void
-writeDynaSpamStats(Writer &out, const core::DynaSpamStats &s)
-{
-    out.u64(s.tracesConsidered);
-    out.u64(s.mappingsStarted);
-    out.u64(s.mappingsCompleted);
-    out.u64(s.mappingsAborted);
-    out.u64(s.mappingsDiscarded);
-    out.u64(s.offloadsIssued);
-    out.u64(s.invocationsCommitted);
-    out.u64(s.invocationsSquashed);
-    out.u64(s.invocationsCollateral);
-    out.u64(s.hotNotMapped);
-    out.u64(s.offloadBelowThreshold);
-    out.u64(s.offloadSuppressed);
-    out.u64(s.instsOffloaded);
-    out.u64(s.reconfigurations);
-    out.u64(s.distinctMappedTraces);
-    out.u64(s.distinctOffloadedTraces);
-    out.u64(s.lifetimeSum);
-    out.u64(s.lifetimeCount);
-}
-
-void
-readDynaSpamStats(Reader &in, core::DynaSpamStats &s)
-{
-    s.tracesConsidered = in.u64();
-    s.mappingsStarted = in.u64();
-    s.mappingsCompleted = in.u64();
-    s.mappingsAborted = in.u64();
-    s.mappingsDiscarded = in.u64();
-    s.offloadsIssued = in.u64();
-    s.invocationsCommitted = in.u64();
-    s.invocationsSquashed = in.u64();
-    s.invocationsCollateral = in.u64();
-    s.hotNotMapped = in.u64();
-    s.offloadBelowThreshold = in.u64();
-    s.offloadSuppressed = in.u64();
-    s.instsOffloaded = in.u64();
-    s.reconfigurations = in.u64();
-    s.distinctMappedTraces = in.u64();
-    s.distinctOffloadedTraces = in.u64();
-    s.lifetimeSum = in.u64();
-    s.lifetimeCount = in.u64();
-}
-
-void
-writeController(Writer &out, ConfigPoolWriter &pool,
-                const core::DynaSpamController::SavedState &s)
-{
-    // T-Cache.
-    out.u64(s.tcache.entries.size());
-    for (const auto &e : s.tcache.entries) {
-        out.u64(e.key);
-        out.u32(e.counter);
-        out.b(e.hot);
-        out.b(e.valid);
-    }
-    for (const auto &rec : s.tcache.history) {
-        out.u32(rec.pc);
-        out.b(rec.taken);
-    }
-    out.u32(s.tcache.historyCount);
-    out.u64(s.tcache.commitCount);
-    out.u64(s.tcache.trainings);
-    out.u64(s.tcache.clears);
-
-    // Config cache.
-    out.u64(s.configCache.entries.size());
-    for (const auto &e : s.configCache.entries) {
-        out.b(e.valid);
-        out.u64(e.key);
-        out.u32(e.counter);
-        pool.write(out, e.config);
-    }
-    out.u64(s.configCache.lookups);
-    out.u64(s.configCache.insertions);
-    out.u64(s.configCache.evictions);
-
-    out.u64(s.fabrics.size());
-    for (const auto &f : s.fabrics) {
-        writeFabricSnapshot(out, pool, f.live);
-        out.u64(f.snapshots.size());
-        for (const auto &[seq, snap] : f.snapshots) {
-            out.u64(seq);
-            writeFabricSnapshot(out, pool, snap);
-        }
-        writeFabricStats(out, f.stats);
-    }
-
-    out.b(s.session.has_value());
-    if (s.session)
-        s.session->serialize(out);
-
-    out.b(s.policy.armed);
-    out.u64(s.policy.baseIdx);
-    out.u64(s.policy.drainUntil);
-    out.u64(s.policy.lastNow);
-    out.b(s.policy.advancePending);
-    out.b(s.policy.selectedThisCycle);
-    out.b(s.policy.vetoedReadyInst);
-
-    out.b(s.mappingInProgress);
-    out.u64(s.mappingKey);
-    out.u64(s.lastMappingStart);
-
-    out.u64(s.pending.size());
-    for (SeqNum seq : sortedKeys(s.pending)) {
-        const auto &p = s.pending.at(seq);
-        out.u64(seq);
-        pool.write(out, p.config);
-        out.u64(p.key);
-        out.u32(p.numRecords);
-        out.i64(p.startedOnIdx);
-    }
-
-    writeU64Seq(out, sortedKeys(s.suppressed));
-    writeU64Seq(out, sortedKeys(s.mappedKeys));
-    writeU64Seq(out, sortedKeys(s.offloadedKeys));
-    writeU64Seq(out, sortedKeys(s.failedKeys));
-
-    writeDynaSpamStats(out, s.dstats);
-}
-
-bool
-readController(Reader &in, ConfigPoolReader &pool,
-               core::DynaSpamController::SavedState &s)
-{
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 14))
-        return false;
-    s.tcache.entries.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &e = s.tcache.entries.emplace_back();
-        e.key = in.u64();
-        e.counter = in.u32();
-        e.hot = in.b();
-        e.valid = in.b();
-    }
-    for (auto &rec : s.tcache.history) {
-        rec.pc = in.u32();
-        rec.taken = in.b();
-    }
-    s.tcache.historyCount = in.u32();
-    s.tcache.commitCount = in.u64();
-    s.tcache.trainings = in.u64();
-    s.tcache.clears = in.u64();
-
-    count = in.u64();
-    if (!in.checkCount(count, 17))
-        return false;
-    s.configCache.entries.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &e = s.configCache.entries.emplace_back();
-        e.valid = in.b();
-        e.key = in.u64();
-        e.counter = in.u32();
-        if (!pool.read(in, e.config))
-            return false;
-    }
-    s.configCache.lookups = in.u64();
-    s.configCache.insertions = in.u64();
-    s.configCache.evictions = in.u64();
-
-    count = in.u64();
-    if (!in.checkCount(count, 64))
-        return false;
-    s.fabrics.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &f = s.fabrics.emplace_back();
-        if (!readFabricSnapshot(in, pool, f.live))
-            return false;
-        std::uint64_t snaps = in.u64();
-        if (!in.checkCount(snaps, 64))
-            return false;
-        for (std::uint64_t j = 0; j < snaps && in.ok(); j++) {
-            SeqNum seq = in.u64();
-            if (!readFabricSnapshot(in, pool, f.snapshots[seq]))
-                return false;
-        }
-        readFabricStats(in, f.stats);
-    }
-
-    if (in.b()) {
-        s.session.emplace(core::MappingSession::deserialize(in));
-        if (!in.ok())
-            return false;
-    } else {
-        s.session.reset();
-    }
-
-    s.policy.armed = in.b();
-    s.policy.baseIdx = in.u64();
-    s.policy.drainUntil = in.u64();
-    s.policy.lastNow = in.u64();
-    s.policy.advancePending = in.b();
-    s.policy.selectedThisCycle = in.b();
-    s.policy.vetoedReadyInst = in.b();
-
-    s.mappingInProgress = in.b();
-    s.mappingKey = in.u64();
-    s.lastMappingStart = in.u64();
-
-    count = in.u64();
-    if (!in.checkCount(count, 32))
-        return false;
-    s.pending.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        SeqNum seq = in.u64();
-        auto &p = s.pending[seq];
-        if (!pool.read(in, p.config))
-            return false;
-        p.key = in.u64();
-        p.numRecords = in.u32();
-        std::int64_t started = in.i64();
-        if (started < -1 || started > (1 << 20)) {
-            in.fail();
-            return false;
-        }
-        p.startedOnIdx = int(started);
-    }
-
-    std::vector<std::uint64_t> keys;
-    if (!readU64Seq(in, keys))
-        return false;
-    s.suppressed = {keys.begin(), keys.end()};
-    if (!readU64Seq(in, keys))
-        return false;
-    s.mappedKeys = {keys.begin(), keys.end()};
-    if (!readU64Seq(in, keys))
-        return false;
-    s.offloadedKeys = {keys.begin(), keys.end()};
-    if (!readU64Seq(in, keys))
-        return false;
-    s.failedKeys = {keys.begin(), keys.end()};
-
-    readDynaSpamStats(in, s.dstats);
-    return in.ok();
-}
-
-// --- verifier -------------------------------------------------------------
-
-void
-writeVerifier(Writer &out, const check::Verifier::SavedState &s)
-{
-    s.lockstep.golden.mem.serialize(out);
-    for (std::uint64_t reg : s.lockstep.golden.regs)
-        out.u64(reg);
-    out.u32(s.lockstep.golden.curPc);
-    out.b(s.lockstep.golden.isHalted);
-    out.u64(s.lockstep.nextIdx);
-    out.u64(s.lockstep.checked);
-    out.b(s.lockstep.dead);
-    out.u64(s.lockstep.window.size());
-    for (const auto &ev : s.lockstep.window) {
-        out.u64(ev.idx);
-        out.u32(ev.pc);
-        out.b(ev.viaFabric);
-        out.u64(ev.cycle);
-    }
-    out.u64(s.auditPasses);
-    out.u64(s.structurePasses);
-}
-
-bool
-readVerifier(Reader &in, check::Verifier::SavedState &s)
-{
-    s.lockstep.golden.mem.deserialize(in);
-    for (std::uint64_t &reg : s.lockstep.golden.regs)
-        reg = in.u64();
-    s.lockstep.golden.curPc = in.u32();
-    s.lockstep.golden.isHalted = in.b();
-    s.lockstep.nextIdx = in.u64();
-    s.lockstep.checked = in.u64();
-    s.lockstep.dead = in.b();
-    std::uint64_t count = in.u64();
-    if (!in.checkCount(count, 21))
-        return false;
-    s.lockstep.window.clear();
-    for (std::uint64_t i = 0; i < count && in.ok(); i++) {
-        auto &ev = s.lockstep.window.emplace_back();
-        ev.idx = in.u64();
-        ev.pc = in.u32();
-        ev.viaFabric = in.b();
-        ev.cycle = in.u64();
-    }
-    s.auditPasses = in.u64();
-    s.structurePasses = in.u64();
-    return in.ok();
-}
 
 } // namespace
 
@@ -1316,19 +412,9 @@ simInputIdentityHash(const SimInput &input)
 void
 serializeSnapshot(const Snapshot &snap, std::string &out)
 {
-    Writer w;
-    ConfigPoolWriter pool;
-    writeCpu(w, snap.cpu);
-    writeCache(w, snap.memory.l2);
-    writeCache(w, snap.memory.l1i);
-    writeCache(w, snap.memory.l1d);
-    w.b(snap.controller.has_value());
-    if (snap.controller)
-        writeController(w, pool, *snap.controller);
-    w.b(snap.verifier.has_value());
-    if (snap.verifier)
-        writeVerifier(w, *snap.verifier);
-    out = w.take();
+    FieldWriter writer;
+    fields::visitConst(snap, writer);
+    out = writer.take();
 }
 
 bool
@@ -1338,31 +424,10 @@ deserializeSnapshot(const std::string &bytes,
 {
     if (!input)
         return false;
-    Reader in(bytes.data(), bytes.size());
-    ConfigPoolReader pool;
     snap.input = std::move(input);
-    if (!readCpu(in, snap.input->trace(), snap.cpu))
-        return false;
-    if (!readCache(in, snap.memory.l2) || !readCache(in, snap.memory.l1i) ||
-        !readCache(in, snap.memory.l1d))
-        return false;
-    if (in.b()) {
-        snap.controller.emplace();
-        if (!readController(in, pool, *snap.controller))
-            return false;
-    } else {
-        snap.controller.reset();
-    }
-    if (in.b()) {
-        snap.verifier.emplace();
-        if (!readVerifier(in, *snap.verifier))
-            return false;
-    } else {
-        snap.verifier.reset();
-    }
-    // The whole body must be consumed: trailing garbage means the file
-    // was framed for a different encoding.
-    return in.ok() && in.remaining() == 0;
+    FieldReader reader(bytes, snap.input->trace());
+    snap.fields(reader);
+    return reader.done();
 }
 
 } // namespace dynaspam::sim

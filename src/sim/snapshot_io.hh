@@ -4,18 +4,32 @@
  *
  * A Snapshot is an in-memory deep copy of a paused simulation; this
  * layer turns it into a platform-stable byte string so a warmed prefix
- * survives process restarts and can ship to cluster workers. Three
- * rules keep the encoding honest:
+ * survives process restarts and can ship to cluster workers. The body
+ * is Snapshot::fields() walked recursively: each component's State
+ * lists its members once (common/fields.hh), and a generic writer and
+ * reader encode whatever the lists name. Four rules keep the encoding
+ * honest:
  *
- *  - Every field is written explicitly little-endian (common/binio.hh);
- *    no struct is ever memcpy'd whole, so padding and ABI never leak in.
+ *  - Every scalar is written explicitly little-endian at its declared
+ *    width (common/binio.hh); no struct is ever memcpy'd whole, so
+ *    padding and ABI never leak in.
  *  - Unordered containers are sorted by key before writing, so the same
- *    state always produces the same bytes.
+ *    state always produces the same bytes; a shared FabricConfig is
+ *    written once and later referenced by a dense id.
  *  - Raw pointers inside the saved pipeline state (StaticInst/DynRecord
- *    in DynInst) are not written at all: they are re-derived on load
+ *    in DynInst) are not in any field list: they are re-derived on load
  *    from the trace index against the SimInput the caller provides,
  *    bounds-checked. An identity hash of the SimInput travels with the
  *    snapshot so a loader never binds state to the wrong input.
+ *  - Decoded values the simulator is known to index with unchecked are
+ *    checked: container counts against the bytes left, enums against
+ *    their range, and each structure's wellFormed() predicate where it
+ *    has one (register indices, contiguous ROB seqs, IQ/LSQ seqs
+ *    inside the ROB, RAS and T-Cache history depths, fabric ids,
+ *    per-config fabric vectors, fabric config routes, page sizes,
+ *    session geometry). Table sizes fixed by the restoring
+ *    simulation's parameters are not known here: the caller checks
+ *    them with Simulation::fits() before restore().
  *
  * Deserialization is fail-soft: corrupt, truncated or semantically
  * invalid bytes return false (degrading to a cache miss / re-warm) and
@@ -35,8 +49,10 @@ namespace dynaspam::sim
 {
 
 /** Bump when the snapshot body encoding changes shape. Mismatched
- *  versions are rejected at load time and fall back to re-warming. */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+ *  versions are rejected at load time and fall back to re-warming.
+ *  Version 2: the body follows the components' field lists, integers
+ *  at their declared widths. */
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /**
  * Stable identity hash of a SimInput: program name and code, initial

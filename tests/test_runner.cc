@@ -29,6 +29,7 @@
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "runner/runner.hh"
+#include "sim/snapshot_io.hh"
 
 using namespace dynaspam;
 using runner::Job;
@@ -693,6 +694,14 @@ TEST(SnapshotCache, RejectsTamperedFrames)
     // Wrong magic.
     corrupt = pristine;
     corrupt[0] = 'X';
+    rewrite(corrupt);
+    EXPECT_FALSE(cache.load("group", 7, &rejected).has_value());
+    EXPECT_TRUE(rejected);
+
+    // A frame of another body encoding (format version 1 predates the
+    // field-list encoding) is rejected, so the group re-warms.
+    corrupt = pristine;
+    corrupt[4] = char(sim::kSnapshotFormatVersion - 1);
     rewrite(corrupt);
     EXPECT_FALSE(cache.load("group", 7, &rejected).has_value());
     EXPECT_TRUE(rejected);

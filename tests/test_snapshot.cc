@@ -10,12 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "check/check.hh"
+#include "check/snapshot_audit.hh"
 #include "common/logging.hh"
+#include "fabric/config.hh"
+#include "isa/inst.hh"
 #include "runner/job.hh"
 #include "runner/report.hh"
 #include "runner/runner.hh"
@@ -190,10 +195,20 @@ TEST(SnapshotIo, SerializedForkMatchesInProcessForkEverywhere)
     // process or a cluster worker would), and forking from the decoded
     // copy has to produce the same bytes as forking from the in-memory
     // snapshot — for every workload, host pipeline and fabric config.
+    // The host-only no-speculation pipeline keeps state (the store
+    // queue bound) that the speculating ones leave at its default.
+    std::vector<std::pair<std::string, sim::SystemConfig>> configs;
+    for (sim::SystemMode mode :
+         {sim::SystemMode::BaselineOoo, sim::SystemMode::AccelSpec})
+        configs.emplace_back(sim::modeName(mode),
+                             sim::SystemConfig::make(mode));
+    configs.emplace_back(
+        "baseline-ooo/no-memspec",
+        sim::SystemConfig::make(sim::SystemMode::BaselineOoo));
+    configs.back().second.ooo.memorySpeculation = false;
+
     for (const std::string &workload : workloads::allWorkloadNames()) {
-        for (sim::SystemMode mode :
-             {sim::SystemMode::BaselineOoo, sim::SystemMode::AccelSpec}) {
-            const sim::SystemConfig cfg = sim::SystemConfig::make(mode);
+        for (const auto &[name, cfg] : configs) {
             auto input = inputFor(workload);
             const std::uint64_t mid = input->trace().size() / 2;
 
@@ -216,14 +231,25 @@ TEST(SnapshotIo, SerializedForkMatchesInProcessForkEverywhere)
                       sim::simInputIdentityHash(*rebuilt));
             sim::Snapshot decoded;
             ASSERT_TRUE(sim::deserializeSnapshot(bytes, rebuilt, decoded))
-                << workload << "/" << sim::modeName(mode);
+                << workload << "/" << name;
 
             sim::Simulation fresh(cfg, rebuilt);
             fresh.restore(decoded);
             fresh.runToCompletion();
             EXPECT_EQ(resultBytes(fresh.collectResult()), inProcess)
-                << workload << "/" << sim::modeName(mode)
+                << workload << "/" << name
                 << ": on-disk snapshot round trip diverged";
+
+            // Decoded against the SAME input, the state must equal the
+            // source member for member: a member a State declares but
+            // its fields() omits is dropped by the file, and shows up
+            // here by name.
+            sim::Snapshot same;
+            ASSERT_TRUE(sim::deserializeSnapshot(bytes, input, same));
+            check::ViolationSink sink(check::ViolationSink::Mode::Collect);
+            EXPECT_TRUE(check::auditSnapshotRoundTrip(snap, same, sink, 0))
+                << workload << "/" << name << ": "
+                << (sink.empty() ? "" : sink.violations()[0].message);
         }
     }
 }
@@ -271,6 +297,110 @@ TEST(SnapshotIo, CorruptBytesFallBackCleanly)
         EXPECT_FALSE(sim::deserializeSnapshot(
             std::string(1024, '\xee'), input, out));
     }
+
+    // Crafted bodies: well-formed bytes (any writer can produce them,
+    // and the cache frame's FNV-1a checksum is public) whose register
+    // state points outside the register file. The pipeline indexes
+    // physReadyCycle and friends with these unchecked, so the decoder
+    // must refuse them.
+    const RegIndex phys_regs = RegIndex(snap.cpu.physReadyCycle.size());
+    auto rejects = [&](const char *what, auto &&mutate) {
+        sim::Snapshot crafted = snap;
+        mutate(crafted.cpu);
+        std::string body;
+        sim::serializeSnapshot(crafted, body);
+        sim::Snapshot out;
+        EXPECT_FALSE(sim::deserializeSnapshot(body, input, out)) << what;
+    };
+    rejects("rat entry past the register file",
+            [&](auto &cpu) { cpu.rat[3] = phys_regs; });
+    rejects("rat shorter than the architectural registers",
+            [](auto &cpu) { cpu.rat.pop_back(); });
+    rejects("free-list entry past the register file",
+            [&](auto &cpu) { cpu.freeList.push_back(phys_regs + 7); });
+    rejects("regConsumers not one list per physical register",
+            [](auto &cpu) { cpu.regConsumers.emplace_back(); });
+    rejects("physical register file shrunk under the RAT",
+            [](auto &cpu) { cpu.physReadyCycle.resize(8); });
+    ASSERT_FALSE(snap.cpu.rob.empty());
+    rejects("ROB source register past the register file",
+            [&](auto &cpu) { cpu.rob.back().src1Phys = phys_regs; });
+    rejects("front-end live-in past the architectural registers",
+            [](auto &cpu) {
+                auto &fe = cpu.frontEnd.emplace_back();
+                fe.liveIns.push_back(isa::NUM_ARCH_REGS);
+            });
+    // robAt()/robFind() index the ROB by seq offset from its head.
+    ASSERT_GE(snap.cpu.rob.size(), 2u);
+    rejects("ROB seqs with a gap",
+            [](auto &cpu) { cpu.rob.back().seq += 1000; });
+    rejects("issue-queue entry outside the ROB",
+            [](auto &cpu) { cpu.iq.push_back(cpu.rob.back().seq + 1); });
+    rejects("RAS checkpoint deeper than the stack", [](auto &cpu) {
+        cpu.rob.back().rasCp.top = cpu.bpred.ras.size() + 1;
+    });
+    rejects("RAS depth past the stack",
+            [](auto &cpu) { cpu.bpred.rasTop = cpu.bpred.ras.size() + 1; });
+    // A cached fabric config whose live-in is past the register file
+    // (the host renames through the config's registers).
+    {
+        sim::Snapshot crafted = snap;
+        auto &entries = crafted.controller->configCache.entries;
+        auto it = std::find_if(entries.begin(), entries.end(),
+                               [](const auto &e) { return e.config; });
+        ASSERT_NE(it, entries.end());
+        auto config = std::make_shared<fabric::FabricConfig>(*it->config);
+        config->liveIns.push_back(isa::NUM_ARCH_REGS);
+        it->config = std::move(config);
+        std::string body;
+        sim::serializeSnapshot(crafted, body);
+        sim::Snapshot out;
+        EXPECT_FALSE(sim::deserializeSnapshot(body, input, out));
+    }
+    // REG_INVALID is the "no register" marker and stays legal.
+    {
+        sim::Snapshot crafted = snap;
+        crafted.cpu.rob.back().src2Phys = REG_INVALID;
+        std::string body;
+        sim::serializeSnapshot(crafted, body);
+        sim::Snapshot out;
+        EXPECT_TRUE(sim::deserializeSnapshot(body, input, out));
+    }
+
+    // Self-consistent bodies whose tables are sized for another
+    // geometry decode, but a simulation refuses them: its code indexes
+    // those tables with its own sizes. The runner checks fits() before
+    // trusting a loaded snapshot, so such a file re-warms.
+    EXPECT_TRUE(warm.fits(snap));
+    auto misfits = [&](const char *what, auto &&mutate) {
+        sim::Snapshot crafted = snap;
+        mutate(crafted);
+        std::string body;
+        sim::serializeSnapshot(crafted, body);
+        sim::Snapshot out;
+        ASSERT_TRUE(sim::deserializeSnapshot(body, input, out)) << what;
+        sim::Simulation target(cfg, input);
+        EXPECT_FALSE(target.fits(out)) << what;
+        EXPECT_THROW(target.restore(out), FatalError) << what;
+    };
+    misfits("branch predictor local table emptied",
+            [](auto &s) { s.cpu.bpred.localTable.clear(); });
+    misfits("store-set table grown",
+            [](auto &s) { s.cpu.storeSets.ssit.push_back(0); });
+    misfits("L1D line array cut",
+            [](auto &s) { s.memory.l1d.lines.resize(8); });
+    misfits("one FU unit too many",
+            [](auto &s) { s.cpu.fuBusyUntil[0].push_back(0); });
+    misfits("physical register file grown", [](auto &s) {
+        s.cpu.physReadyCycle.push_back(0);
+        s.cpu.regConsumers.emplace_back();
+    });
+    misfits("T-Cache entry dropped",
+            [](auto &s) { s.controller->tcache.entries.pop_back(); });
+    misfits("config cache entry dropped",
+            [](auto &s) { s.controller->configCache.entries.pop_back(); });
+    misfits("controller missing",
+            [](auto &s) { s.controller.reset(); });
 }
 
 TEST(Snapshot, SampledFidelityIsDeterministicAndMarked)

@@ -5,7 +5,6 @@
  *   dynaspam-analyze [--root DIR] [--check NAME]... [--json]
  *   dynaspam-analyze --selftest DIR
  *   dynaspam-analyze --list-checks
- *   dynaspam-analyze --engine ast --compdb build/compile_commands.json
  *
  * Default mode scans every .cc/.hh under <root>/src with the token
  * engine and prints findings as `file:line: [check] message`. Exit
@@ -39,8 +38,6 @@ struct Options
     std::string root = ".";
     std::vector<std::string> only;   ///< empty = every check
     std::string selftestDir;
-    std::string engine = "token";
-    std::string compdb;
     bool json = false;
     bool listChecks = false;
 };
@@ -52,9 +49,8 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--root DIR] [--check NAME]... [--json]\n"
         "       %s --selftest FIXTURE_DIR\n"
-        "       %s --list-checks\n"
-        "       %s --engine {token|ast} [--compdb FILE]\n",
-        argv0, argv0, argv0, argv0);
+        "       %s --list-checks\n",
+        argv0, argv0, argv0);
     return 2;
 }
 
@@ -259,16 +255,6 @@ runSelftest(const Options &opt)
 
 } // namespace
 
-// The AST engine (Clang LibTooling over compile_commands.json) is
-// compiled in only when the Clang CMake package is present.
-#ifdef DYNASPAM_ANALYZE_HAVE_CLANG
-namespace dynaspam::analyze
-{
-int runAstEngine(const std::string &compdb, const std::string &root,
-                 std::vector<Finding> &out);
-}
-#endif
-
 int
 main(int argc, char **argv)
 {
@@ -293,16 +279,6 @@ main(int argc, char **argv)
             if (!v)
                 return usage(argv[0]);
             opt.selftestDir = v;
-        } else if (arg == "--engine") {
-            const char *v = value();
-            if (!v)
-                return usage(argv[0]);
-            opt.engine = v;
-        } else if (arg == "--compdb") {
-            const char *v = value();
-            if (!v)
-                return usage(argv[0]);
-            opt.compdb = v;
         } else if (arg == "--json") {
             opt.json = true;
         } else if (arg == "--list-checks") {
@@ -333,31 +309,5 @@ main(int argc, char **argv)
     if (!opt.selftestDir.empty())
         return runSelftest(opt);
 
-    if (opt.engine == "ast") {
-#ifdef DYNASPAM_ANALYZE_HAVE_CLANG
-        if (opt.compdb.empty()) {
-            std::fprintf(stderr,
-                         "dynaspam-analyze: --engine ast needs "
-                         "--compdb build/compile_commands.json\n");
-            return 2;
-        }
-        std::vector<analyze::Finding> findings;
-        const int rc =
-            analyze::runAstEngine(opt.compdb, opt.root, findings);
-        if (rc)
-            return rc;
-        printFindings(findings, opt.json);
-        return findings.empty() ? 0 : 1;
-#else
-        std::fprintf(stderr,
-                     "dynaspam-analyze: built without the Clang "
-                     "libraries; only '--engine token' is available "
-                     "(install the Clang CMake package and "
-                     "reconfigure to enable the AST engine)\n");
-        return 2;
-#endif
-    }
-    if (opt.engine != "token")
-        return usage(argv[0]);
     return runScan(opt);
 }
