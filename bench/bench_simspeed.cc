@@ -1,7 +1,7 @@
 /**
  * @file
  * Simulator-throughput benchmark: committed kilo-instructions per
- * second (KIPS) of host wall time, per workload, host-only
+ * CPU-second (KIPS) of the simulating thread, per workload, host-only
  * (baseline-ooo) and fabric-enabled (accel-spec).
  *
  * This is the repo's first *simulator speed* trajectory (all other
@@ -13,11 +13,13 @@
  *                  [--out FILE] [--baseline FILE] [--tolerance FRAC]
  *
  * Each (workload, mode) point is simulated --repeat times (default 3)
- * with the result cache disabled; the fastest run is reported, which
- * suppresses scheduler noise. KIPS counts *committed program
- * instructions* (result.instsTotal) against the wall time of the whole
- * runner::execute call (functional pass + timing pass), timed with
- * steady_clock.
+ * with the result cache disabled; the median and interquartile range of
+ * the runs are reported. KIPS counts *committed program instructions*
+ * (result.instsTotal) against the CPU time the calling thread spends in
+ * the whole runner::execute call (functional pass + timing pass), read
+ * from CLOCK_THREAD_CPUTIME_ID: time the thread waits for a core on a
+ * busy host is not charged, so the figure tracks the simulator's own
+ * cost rather than its neighbours'.
  *
  * With --baseline, the emitted report is compared against a previously
  * checked-in report: the run fails (exit 1) if the geomean KIPS of
@@ -28,9 +30,10 @@
  * Report schema: see EXPERIMENTS.md ("Simulator-throughput benchmark").
  */
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -48,35 +51,59 @@ using sim::SystemMode;
 namespace
 {
 
-/** One timed simulation point. */
+/** CPU time consumed so far by the calling thread, in seconds. */
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
+}
+
+/** Quantile @p q of ascending @p sorted, interpolating linearly. */
+double
+quantile(const std::vector<double> &sorted, double q)
+{
+    const double pos = q * double(sorted.size() - 1);
+    const std::size_t lo = std::size_t(pos);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - double(lo));
+}
+
+/** One timed simulation point: the median and interquartile range of
+ *  its runs. */
 struct Point
 {
     std::uint64_t insts = 0;
     std::uint64_t cycles = 0;
-    double seconds = 0.0;
-
-    double kips() const
-    {
-        return seconds > 0.0 ? double(insts) / 1e3 / seconds : 0.0;
-    }
+    double seconds = 0.0;       ///< median thread CPU seconds
+    double secondsIqr = 0.0;
+    double kips = 0.0;          ///< median
+    double kipsIqr = 0.0;
 };
 
 Point
 timePoint(const Job &job, unsigned repeat)
 {
-    Point best;
+    Point point;
+    std::vector<double> seconds, kips;
     for (unsigned i = 0; i < repeat; i++) {
-        const auto t0 = std::chrono::steady_clock::now();
+        const double t0 = threadCpuSeconds();
         sim::RunResult res = runner::execute(job);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double secs = std::chrono::duration<double>(t1 - t0).count();
-        if (i == 0 || secs < best.seconds) {
-            best.insts = res.instsTotal;
-            best.cycles = res.cycles;
-            best.seconds = secs;
-        }
+        const double secs = threadCpuSeconds() - t0;
+        point.insts = res.instsTotal;
+        point.cycles = res.cycles;
+        seconds.push_back(secs);
+        kips.push_back(secs > 0.0 ? double(res.instsTotal) / 1e3 / secs
+                                  : 0.0);
     }
-    return best;
+    std::sort(seconds.begin(), seconds.end());
+    std::sort(kips.begin(), kips.end());
+    point.seconds = quantile(seconds, 0.5);
+    point.secondsIqr = quantile(seconds, 0.75) - quantile(seconds, 0.25);
+    point.kips = quantile(kips, 0.5);
+    point.kipsIqr = quantile(kips, 0.75) - quantile(kips, 0.25);
+    return point;
 }
 
 json::Value
@@ -86,7 +113,9 @@ pointToJson(const Point &p)
     o["insts"] = p.insts;
     o["cycles"] = p.cycles;
     o["seconds"] = p.seconds;
-    o["kips"] = p.kips();
+    o["seconds_iqr"] = p.secondsIqr;
+    o["kips"] = p.kips;
+    o["kips_iqr"] = p.kipsIqr;
     return o;
 }
 
@@ -153,9 +182,10 @@ main(int argc, char **argv)
     if (repeat == 0 || names.empty())
         return usage();
 
-    std::printf("simspeed: scale %u, best of %u run%s per point\n", scale,
-                repeat, repeat == 1 ? "" : "s");
-    std::printf("%-6s %14s %12s %14s %12s\n", "bench", "host insts",
+    std::printf("simspeed: scale %u, median (IQR) of %u run%s per point, "
+                "thread CPU time\n",
+                scale, repeat, repeat == 1 ? "" : "s");
+    std::printf("%-6s %14s %20s %14s %20s\n", "bench", "host insts",
                 "host KIPS", "fabric insts", "fabric KIPS");
     bench::rule(6);
 
@@ -168,25 +198,27 @@ main(int argc, char **argv)
         const Point fabric =
             timePoint(Job{name, SystemMode::AccelSpec, 32, 1, scale},
                       repeat);
-        host_kips.push_back(host.kips());
-        fabric_kips.push_back(fabric.kips());
+        host_kips.push_back(host.kips);
+        fabric_kips.push_back(fabric.kips);
 
         json::Object modes;
         modes["host"] = pointToJson(host);
         modes["fabric"] = pointToJson(fabric);
         workloads_json[name] = std::move(modes);
 
-        std::printf("%-6s %14llu %12.1f %14llu %12.1f\n", name.c_str(),
-                    static_cast<unsigned long long>(host.insts),
-                    host.kips(),
+        std::printf("%-6s %14llu %10.1f (%7.1f) %14llu %10.1f (%7.1f)\n",
+                    name.c_str(),
+                    static_cast<unsigned long long>(host.insts), host.kips,
+                    host.kipsIqr,
                     static_cast<unsigned long long>(fabric.insts),
-                    fabric.kips());
+                    fabric.kips, fabric.kipsIqr);
     }
     bench::rule(6);
 
     json::Object report_obj;
-    report_obj["schema_version"] = 1u;
+    report_obj["schema_version"] = 2u;
     report_obj["name"] = "simspeed";
+    report_obj["clock"] = "thread-cpu";
     report_obj["scale"] = scale;
     report_obj["repeat"] = repeat;
     report_obj["workloads"] = std::move(workloads_json);
@@ -196,8 +228,8 @@ main(int argc, char **argv)
     report_obj["geomean"] = std::move(geo);
     const json::Value report{std::move(report_obj)};
 
-    std::printf("%-6s %14s %12.1f %14s %12.1f   (geomean)\n", "geo", "",
-                geomean(host_kips), "", geomean(fabric_kips));
+    std::printf("%-6s %14s %10.1f %9s %14s %10.1f %9s (geomean)\n", "geo",
+                "", geomean(host_kips), "", "", geomean(fabric_kips), "");
 
     {
         std::ofstream os(out);

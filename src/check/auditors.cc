@@ -6,7 +6,6 @@
 #include "check/auditors.hh"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 #include <unordered_map>
 
@@ -169,7 +168,7 @@ OooAuditor::auditRename(Cycle now)
 void
 OooAuditor::auditLsq(Cycle now)
 {
-    auto auditQueue = [&](const std::deque<SeqNum> &queue, bool loads,
+    auto auditQueue = [&](const Ring<SeqNum> &queue, bool loads,
                           const char *name) {
         SeqNum prev = 0;
         for (SeqNum seq : queue) {
@@ -237,11 +236,10 @@ OooAuditor::auditAtomicity(Cycle now)
 void
 OooAuditor::auditScheduler(Cycle now)
 {
-    // The wakeup scheduler and the LSQ line indexes are derived views of
-    // the IQ and the memory queues; this audit proves the views stay an
-    // exact mirror (the sqBound watermark is cross-checked at its use
-    // site by a DYNASPAM_CHECK instead, where the reference predicate is
-    // evaluated on identical state).
+    // The wakeup scheduler is a derived view of the IQ; this audit
+    // proves the view stays an exact mirror (the sqBound watermark is
+    // cross-checked at its use site by a DYNASPAM_CHECK instead, where
+    // the reference predicate is evaluated on identical state).
 
     // Pass 1: validate every ready/pending entry and count references.
     std::unordered_map<SeqNum, unsigned> schedRefs;
@@ -368,56 +366,6 @@ OooAuditor::auditScheduler(Cycle now)
         std::ostringstream os;
         os << "scheduler lists hold " << ready_total + pending_total
            << " entries but the IQ holds only " << cpu.iq.size();
-        sink.report("scheduler", now, os.str());
-        return;
-    }
-
-    // Pass 4: the LSQ line indexes mirror the queues exactly.
-    auto auditIndex = [&](const std::deque<SeqNum> &queue,
-                          const ooo::OooCpu::LsqIndex &index,
-                          const char *name) -> bool {
-        ooo::OooCpu::LsqIndex expect;
-        for (SeqNum seq : queue) {
-            const ooo::DynInst *d = cpu.robFind(seq);
-            if (!d || !d->record)
-                return true;    // auditLsq already reported this
-            expect[ooo::OooCpu::lsqLine(d->record->effAddr)].push_back(seq);
-        }
-        if (index == expect)
-            return true;
-        std::ostringstream os;
-        os << name << " line index does not mirror the queue ("
-           << index.size() << " lines indexed, " << expect.size()
-           << " expected)";
-        sink.report("scheduler", now, os.str());
-        return false;
-    };
-    if (!auditIndex(cpu.loadQueue, cpu.loadsByLine, "load"))
-        return;
-    if (!auditIndex(cpu.storeQueue, cpu.storesByLine, "store"))
-        return;
-
-    // Pass 5: retiredByLine mirrors the post-commit store buffer.
-    std::size_t retired_total = 0;
-    for (const auto &[line, entries] : cpu.retiredByLine) {
-        retired_total += entries.size();
-        SeqNum prev = 0;
-        for (const auto &rs : entries) {
-            if (ooo::OooCpu::lsqLine(rs.addr) != line || rs.seq <= prev) {
-                std::ostringstream os;
-                os << "retired-store line index entry seq " << rs.seq
-                   << " misfiled or out of age order on line " << line;
-                sink.report("scheduler", now, os.str());
-                return;
-            }
-            prev = rs.seq;
-        }
-    }
-    if (retired_total != cpu.storeBuffer.size()) {
-        std::ostringstream os;
-        os << "retired-store line index holds " << retired_total
-           << " entries but the store buffer holds "
-           << cpu.storeBuffer.size();
         sink.report("scheduler", now, os.str());
         return;
     }

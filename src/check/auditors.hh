@@ -61,10 +61,13 @@ namespace dynaspam::check
  *    exactly — every waiting IQ instruction with no unknown sources
  *    has exactly one ready/pending reference of the right FU type,
  *    instructions with unknown sources are registered once per
- *    unknown source on a not-ready producer's consumer list, the
- *    ready/pending counters match, and the cacheline-keyed LSQ and
- *    store-buffer indexes hold exactly the queues' entries in age
- *    order.
+ *    unknown source on a not-ready producer's consumer list, and the
+ *    ready/pending counters match.
+ *
+ * The LSQ scans themselves (store-to-load forwarding, store-load
+ * violation detection, the invocation store-event check) are
+ * cross-checked where they run, by DYNASPAM_CHECKs against reference
+ * walks over the whole ROB.
  */
 class OooAuditor
 {

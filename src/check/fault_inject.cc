@@ -163,9 +163,7 @@ FaultInjector::injectAtomicityFault()
     const RegIndex phys = fx.cpu.freeList.back();
     fx.cpu.freeList.pop_back();
     fx.cpu.physReadyCycle[phys] = CYCLE_INVALID;
-    ooo::OooCpu::InvocationState inv;
-    inv.liveOutPhys.push_back(phys);
-    fx.cpu.invocations.emplace(1, inv);
+    fx.cpu.invocations.emplace(1).liveOutPhys.push_back(phys);
 
     ViolationSink sink(ViolationSink::Mode::Collect);
     OooAuditor auditor(fx.cpu, sink);
@@ -403,7 +401,7 @@ runSelfTest(std::ostream &os)
         {"rename map / free-list partition", FaultInjector::injectRenameFault},
         {"load-store queue ordering", FaultInjector::injectLsqFault},
         {"ROB' fat-commit atomicity", FaultInjector::injectAtomicityFault},
-        {"scheduler / LSQ-index mirror", FaultInjector::injectSchedulerFault},
+        {"scheduler / ready-list mirror", FaultInjector::injectSchedulerFault},
         {"T-Cache coherence", FaultInjector::injectTCacheFault},
         {"config-cache validity", FaultInjector::injectConfigCacheFault},
         {"frontier scheduling legality", FaultInjector::injectFrontierFault},

@@ -49,6 +49,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/ring.hh"
+
 namespace dynaspam::fields
 {
 
@@ -68,6 +70,8 @@ template <class T, class A>
 struct IsSequence<std::vector<T, A>> : std::true_type {};
 template <class T, class A>
 struct IsSequence<std::deque<T, A>> : std::true_type {};
+template <class T>
+struct IsSequence<Ring<T>> : std::true_type {};
 
 /** Key-ordered or hashed associative containers with mapped values. */
 template <class T> struct IsMap : std::false_type {};

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "check/check.hh"
 #include "common/logging.hh"
 #include "trace/trace.hh"
 
@@ -112,6 +113,11 @@ DynaSpamController::beforeFetch(SeqNum trace_idx, Cycle now)
 {
     ooo::FetchDirective directive;
 
+    // Everything in flight was fetched before this record, so a pending
+    // offload at or past it was fetched on a path a squash cleared from
+    // the front end, where no commit or squash hook will ever see it.
+    pending.eraseFrom(trace_idx);
+
     // Only conditional branches anchor traces, so only they can carry a
     // suppression or an offload — bail before any hash probe otherwise.
     const isa::DynRecord &rec = trace[trace_idx];
@@ -132,25 +138,20 @@ DynaSpamController::beforeFetch(SeqNum trace_idx, Cycle now)
 
     // Build the T-Cache index from the predictions for this and the next
     // two branches. The key-only probe avoids materialising the extent
-    // vectors for the (overwhelmingly common) cold case; isHot is pure,
-    // and probe.key equals the full walk's key, so behaviour is identical.
+    // vectors: probe.valid implies the full walk is valid, with the same
+    // key (walker.hh), so only a mapping start below needs the walk.
     TraceKeyProbe probe = probeTraceKey(trace.program(), bpred, rec.pc,
                                         params.traceLength);
     if (!probe.valid || !tCache.isHot(probe.key))
         return directive;
 
-    TraceWalk walk = walkPredictedPath(trace.program(), bpred, rec.pc,
-                                       params.traceLength);
-    if (!walk.valid)
-        return directive;
-
     dstats.tracesConsidered++;
     if (trace::compiledIn() && tsink)
-        tsink->mark(trace::Mark::TCacheHit, now, walk.key, trace_idx);
+        tsink->mark(trace::Mark::TCacheHit, now, probe.key, trace_idx);
 
-    auto config = cfgCache.find(walk.key);
+    auto config = cfgCache.find(probe.key);
     if (config) {
-        const bool ready = cfgCache.recordPrediction(walk.key);
+        const bool ready = cfgCache.recordPrediction(probe.key);
         // Offload decision point: with the counter saturated, the
         // outcome consults enableOffload, and an issued offload's fabric
         // timing consults memorySpeculation.
@@ -171,13 +172,14 @@ DynaSpamController::beforeFetch(SeqNum trace_idx, Cycle now)
         directive.kind = ooo::FetchDirective::Kind::Offload;
         directive.numRecords = config->numRecords;
         directive.liveIns = config->liveIns;
-        directive.liveOuts.reserve(config->liveOuts.size());
+        directiveLiveOuts.clear();
         for (const auto &lo : config->liveOuts)
-            directive.liveOuts.push_back(lo.arch);
+            directiveLiveOuts.push_back(lo.arch);
+        directive.liveOuts = directiveLiveOuts;
         directive.hasStores = config->hasStores;
 
-        pending[trace_idx] =
-            PendingInvocation{config, walk.key, config->numRecords};
+        pending.assign(trace_idx, PendingInvocation{config, probe.key,
+                                                    config->numRecords});
         dstats.offloadsIssued++;
         return directive;
     }
@@ -187,12 +189,17 @@ DynaSpamController::beforeFetch(SeqNum trace_idx, Cycle now)
     // anyway — Section 3.1). Traces that already failed to map are not
     // retried.
     dstats.hotNotMapped++;
-    if (failedKeys.count(walk.key))
+    if (failedKeys.count(probe.key))
         return directive;
     if (now < lastMappingStart + params.mappingCooldown &&
         dstats.mappingsStarted > 0) {
         return directive;   // rate-limit reconfiguration pressure
     }
+    const TraceWalk walk = walkPredictedPath(trace.program(), bpred, rec.pc,
+                                             params.traceLength);
+    DYNASPAM_CHECK(walk.valid && walk.key == probe.key,
+                   "predicted-path walk at record ", trace_idx,
+                   " disagrees with its key probe");
     if (!walkMatchesOracle(walk, trace_idx))
         return directive;
     if (walk.pcs.size() < 4)
@@ -272,35 +279,34 @@ DynaSpamController::mappingAborted(SeqNum trace_idx, Cycle now)
     mappingInProgress = false;
 }
 
-ooo::InvocationResult
+void
 DynaSpamController::offloadStart(SeqNum trace_idx, std::uint32_t num_records,
                                  Cycle now,
                                  const std::vector<Cycle> &live_in_ready,
-                                 Cycle mem_safe)
+                                 Cycle mem_safe, ooo::InvocationResult &result)
 {
-    auto it = pending.find(trace_idx);
-    if (it == pending.end())
+    PendingInvocation *inv = pending.find(trace_idx);
+    if (!inv)
         panic("offloadStart for unknown invocation at ", trace_idx);
-    const PendingInvocation &inv = it->second;
 
-    ooo::InvocationResult result;
-    const std::size_t fab = selectFabric(inv.config, now);
-    it->second.startedOnIdx = int(fab);
-    fabric::FabricExecResult fx = fabricPool[fab]->execute(
-        trace, trace_idx, live_in_ready, mem_safe, now);
+    const std::size_t fab = selectFabric(inv->config, now);
+    inv->startedOnIdx = int(fab);
+    fabric::FabricExecResult &fx = execScratch;
+    fabricPool[fab]->execute(trace, trace_idx, live_in_ready, mem_safe, now,
+                             fx);
     (void)num_records;
     if (trace::compiledIn() && tsink) {
         tsink->span(trace::Mark::Invocation, now, fx.completeCycle,
-                    inv.key, trace_idx);
+                    inv->key, trace_idx);
     }
 
     result.squashed = fx.squashed;
     result.completeCycle = fx.completeCycle;
-    result.liveOutReady = std::move(fx.liveOutReady);
-    result.storeEvents.reserve(fx.storeEvents.size());
+    result.liveOutReady.assign(fx.liveOutReady.begin(),
+                               fx.liveOutReady.end());
+    result.storeEvents.clear();
     for (const auto &ev : fx.storeEvents)
         result.storeEvents.emplace_back(ev.addr, ev.pc);
-    return result;
 }
 
 void
@@ -309,14 +315,13 @@ DynaSpamController::invocationCommitted(SeqNum trace_idx, Cycle now)
     dstats.invocationsCommitted++;
     if (trace::compiledIn() && tsink)
         tsink->mark(trace::Mark::InvokeCommit, now, 0, trace_idx);
-    auto it = pending.find(trace_idx);
-    if (it != pending.end()) {
-        dstats.instsOffloaded += it->second.numRecords;
-        offloadedKeys.insert(it->second.key);
-        if (it->second.startedOnIdx >= 0)
-            fabricPool[std::size_t(it->second.startedOnIdx)]
+    if (PendingInvocation *inv = pending.find(trace_idx)) {
+        dstats.instsOffloaded += inv->numRecords;
+        offloadedKeys.insert(inv->key);
+        if (inv->startedOnIdx >= 0)
+            fabricPool[std::size_t(inv->startedOnIdx)]
                 ->noteCommitted(trace_idx);
-        pending.erase(it);
+        pending.erase(trace_idx);
     }
 }
 
@@ -328,23 +333,21 @@ DynaSpamController::invocationSquashed(SeqNum trace_idx, Cycle now,
         tsink->mark(trace::Mark::InvokeSquash, now, 0, trace_idx,
                     at_fault ? 1 : 0);
     }
+    PendingInvocation *inv = pending.find(trace_idx);
     if (at_fault) {
         dstats.invocationsSquashed++;
         suppressed.insert(trace_idx);
-        auto pit = pending.find(trace_idx);
-        if (pit != pending.end())
-            cfgCache.penalize(pit->second.key);
+        if (inv)
+            cfgCache.penalize(inv->key);
     } else {
         dstats.invocationsCollateral++;
     }
-    auto it = pending.find(trace_idx);
-    if (it != pending.end()) {
+    if (inv) {
         // Rewind the ghost effects this invocation left in the fabric's
         // pipelining state (squash notifications arrive youngest-first).
-        if (it->second.startedOnIdx >= 0)
-            fabricPool[std::size_t(it->second.startedOnIdx)]
-                ->rollback(trace_idx);
-        pending.erase(it);
+        if (inv->startedOnIdx >= 0)
+            fabricPool[std::size_t(inv->startedOnIdx)]->rollback(trace_idx);
+        pending.erase(trace_idx);
     }
 }
 
@@ -357,7 +360,8 @@ DynaSpamController::onCommitControl(InstAddr pc, bool taken,
         tCache.commitBranch(pc, taken);
     // A suppressed record that has now committed on the host can be
     // offloaded again in the future.
-    suppressed.erase(trace_idx);
+    if (!suppressed.empty())
+        suppressed.erase(trace_idx);
 }
 
 void

@@ -18,11 +18,12 @@
 #ifndef DYNASPAM_CORE_CONTROLLER_HH
 #define DYNASPAM_CORE_CONTROLLER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -196,14 +197,98 @@ struct DynaSpamControllerState
         }
     };
 
+    /**
+     * Pending offloads keyed by the invocation's first trace record:
+     * a flat vector of (key, invocation) pairs in ascending key order.
+     * Fetch appends (keys grow in fetch order), commit removes from the
+     * front and squash-refetch cuts the back, so the vector's capacity
+     * is reused and lookups are a binary search. Sorted pairs encode
+     * exactly like a hashed map, whose entries the snapshot writer
+     * emits sorted by key.
+     */
+    class PendingTable
+    {
+      public:
+        using Entry = std::pair<SeqNum, PendingInvocation>;
+
+        bool empty() const { return entries.empty(); }
+        std::size_t size() const { return entries.size(); }
+        auto begin() const { return entries.begin(); }
+        auto end() const { return entries.end(); }
+
+        PendingInvocation *
+        find(SeqNum key)
+        {
+            auto it = lowerBound(key);
+            return it != entries.end() && it->first == key ? &it->second
+                                                           : nullptr;
+        }
+
+        /** Insert or overwrite the entry of @p key. */
+        void
+        assign(SeqNum key, PendingInvocation inv)
+        {
+            auto it = lowerBound(key);
+            if (it != entries.end() && it->first == key)
+                it->second = std::move(inv);
+            else
+                entries.emplace(it, key, std::move(inv));
+        }
+
+        void
+        erase(SeqNum key)
+        {
+            auto it = lowerBound(key);
+            if (it != entries.end() && it->first == key)
+                entries.erase(it);
+        }
+
+        /** Drop every entry whose key is @p key or later. */
+        void
+        eraseFrom(SeqNum key)
+        {
+            while (!entries.empty() && entries.back().first >= key)
+                entries.pop_back();
+        }
+
+        bool operator==(const PendingTable &) const = default;
+
+        /** Keys ascend strictly (checked on decode). */
+        bool
+        wellFormed() const
+        {
+            return std::adjacent_find(entries.begin(), entries.end(),
+                                      [](const Entry &a, const Entry &b) {
+                                          return !(a.first < b.first);
+                                      }) == entries.end();
+        }
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v("entries", entries);
+        }
+
+      private:
+        std::vector<Entry>::iterator
+        lowerBound(SeqNum key)
+        {
+            return std::lower_bound(
+                entries.begin(), entries.end(), key,
+                [](const Entry &e, SeqNum k) { return e.first < k; });
+        }
+
+        std::vector<Entry> entries;
+    };
+
     /** The mapping session of the phase in progress, if one is open. */
     std::optional<MappingSession> session;
     bool mappingInProgress = false;
     std::uint64_t mappingKey = 0;
     Cycle lastMappingStart = 0;
 
-    /** Keyed by the invocation's first trace record. */
-    std::unordered_map<SeqNum, PendingInvocation> pending;
+    PendingTable pending;
 
     /** After a squash at this record, execute it on the host once. */
     std::unordered_set<SeqNum> suppressed;
@@ -262,9 +347,10 @@ class DynaSpamController : public ooo::TraceHooks,
     void mappingStarted(SeqNum trace_idx, Cycle now) override;
     void mappingFinished(SeqNum trace_idx, Cycle now) override;
     void mappingAborted(SeqNum trace_idx, Cycle now) override;
-    ooo::InvocationResult offloadStart(
-        SeqNum trace_idx, std::uint32_t num_records, Cycle now,
-        const std::vector<Cycle> &live_in_ready, Cycle mem_safe) override;
+    void offloadStart(SeqNum trace_idx, std::uint32_t num_records, Cycle now,
+                      const std::vector<Cycle> &live_in_ready,
+                      Cycle mem_safe,
+                      ooo::InvocationResult &result) override;
     void invocationCommitted(SeqNum trace_idx, Cycle now) override;
     void invocationSquashed(SeqNum trace_idx, Cycle now,
                             bool at_fault) override;
@@ -388,6 +474,11 @@ class DynaSpamController : public ooo::TraceHooks,
 
     trace::TraceSink *tsink = nullptr;
     WarmupGuard *guard = nullptr;
+
+    /** Reused across calls: the live-out registers an Offload directive
+     *  views, and the fabric's outcome of offloadStart(). */
+    std::vector<RegIndex> directiveLiveOuts;
+    fabric::FabricExecResult execScratch;
 };
 
 } // namespace dynaspam::core

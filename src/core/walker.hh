@@ -55,10 +55,11 @@ struct TraceKeyProbe
  * This runs exactly the key-determining prefix of walkPredictedPath (the
  * walk up to the third conditional branch, with identical failure
  * conditions), so `probe.valid == walk.valid` and, when valid,
- * `probe.key == walk.key`. The fetch fast path uses it to consult the
- * T-Cache before paying for the full walk: walkPredictedPath always puts
- * the anchor into pcs, so the full walk can never turn invalid after the
- * key prefix succeeds.
+ * `probe.key == walk.key`. The fetch path keys the T-Cache and the
+ * configuration cache with the probe and pays for the full walk only
+ * where a mapping may start: walkPredictedPath always puts the anchor
+ * into pcs, so the full walk can never turn invalid after the key
+ * prefix succeeds.
  */
 TraceKeyProbe probeTraceKey(const isa::Program &program,
                             const ooo::BranchPredictor &bpred,

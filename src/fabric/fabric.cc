@@ -6,7 +6,6 @@
 #include "fabric/fabric.hh"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -93,24 +92,27 @@ Fabric::noteCommitted(SeqNum trace_idx)
 {
     // Commits arrive in program order: everything at or before this
     // invocation is final.
-    snapshots.erase(snapshots.begin(),
-                    snapshots.upper_bound(trace_idx));
+    while (!snapshots.empty() && snapshots.front().first <= trace_idx)
+        snapshots.pop_front();
 }
 
 void
 Fabric::rollback(SeqNum trace_idx)
 {
-    auto it = snapshots.find(trace_idx);
-    if (it == snapshots.end())
+    std::size_t i = snapshots.size();
+    while (i > 0 && snapshots[i - 1].first > trace_idx)
+        i--;
+    if (i == 0 || snapshots[i - 1].first != trace_idx)
         return;     // never executed here (or already rolled back)
-    static_cast<FabricPipeState &>(*this) = it->second;
-    snapshots.erase(it, snapshots.end());
+    static_cast<FabricPipeState &>(*this) = snapshots[i - 1].second;
+    while (snapshots.size() >= i)
+        snapshots.pop_back();
 }
 
-FabricExecResult
+void
 Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
                 const std::vector<Cycle> &live_in_arrival, Cycle mem_safe,
-                Cycle now)
+                Cycle now, FabricExecResult &result)
 {
     if (!current)
         panic("Fabric::execute without a configuration");
@@ -118,10 +120,27 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
         panic("live-in arrival count mismatch");
 
     // Capture the pipelining state so a ROB squash of this invocation
-    // can rewind its ghost effects.
-    snapshots[trace_idx] = static_cast<const FabricPipeState &>(*this);
+    // can rewind its ghost effects. Invocations usually start in trace
+    // order, so the copy lands at the young end; an older one that
+    // starts late moves down to its key's place.
+    std::size_t at = snapshots.size();
+    while (at > 0 && snapshots[at - 1].first > trace_idx)
+        at--;
+    if (at > 0 && snapshots[at - 1].first == trace_idx) {
+        snapshots[at - 1].second = static_cast<const FabricPipeState &>(*this);
+    } else {
+        auto &slot = snapshots.push_back_reuse();
+        slot.first = trace_idx;
+        slot.second = static_cast<const FabricPipeState &>(*this);
+        for (std::size_t i = snapshots.size() - 1; i > at; i--)
+            std::swap(snapshots[i], snapshots[i - 1]);
+    }
 
-    FabricExecResult result;
+    result.squashed = false;
+    result.cause = FabricExecResult::SquashCause::None;
+    result.completeCycle = 0;
+    result.liveOutReady.clear();
+    result.storeEvents.clear();
     const FabricConfig &cfg = *current;
     const std::size_t n = cfg.insts.size();
 
@@ -138,7 +157,8 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
     // global bus, skipping the trip through the host register file.
     const bool back_to_back =
         invocationsOnConfig > 0 && trace_idx == prevTraceEndIdx;
-    std::vector<Cycle> arrival(live_in_arrival.size());
+    std::vector<Cycle> &arrival = arrivalScratch;
+    arrival.resize(live_in_arrival.size());
     for (std::size_t i = 0; i < arrival.size(); i++) {
         arrival[i] = live_in_arrival[i] + params.globalBusLatency;
         if (back_to_back) {
@@ -155,13 +175,15 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
         fstats.fifoPushes++;
     }
 
-    std::vector<Cycle> complete(n, 0);
+    std::vector<Cycle> &complete = completeScratch;
+    complete.assign(n, 0);
     // PE occupancy per instruction: loads occupy their LDST unit only
     // for issue/address generation — the reservation buffer (Figure 4)
     // holds in-flight misses so responses can return out of order and
     // later invocations' loads can issue meanwhile (memory-level
     // parallelism, as in the host pipeline).
-    std::vector<Cycle> occupy(n, 0);
+    std::vector<Cycle> &occupy = occupyScratch;
+    occupy.assign(n, 0);
     // Without memory speculation, memory operations execute in strict
     // program order — including across invocations.
     Cycle last_mem_complete =
@@ -171,14 +193,8 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
     std::size_t executed = n;
 
     // Stores of this invocation, for intra-trace violation detection.
-    struct PendingStore
-    {
-        Addr addr;
-        Cycle completeCycle;
-        InstAddr pc;
-        SeqNum seq;
-    };
-    std::vector<PendingStore> invStores;
+    std::vector<PendingStore> &invStores = storesScratch;
+    invStores.clear();
 
     for (std::size_t i = 0; i < n; i++) {
         const MappedInst &mi = cfg.insts[i];
@@ -352,7 +368,7 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
         // Squashed stores never drained; retire their LFST registrations.
         for (const PendingStore &ps : invStores)
             storeSets.retireStore(ps.pc, ps.seq);
-        return result;
+        return;
     }
 
     // Deliver live-outs to the host over the global bus.
@@ -390,8 +406,6 @@ Fabric::execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
         inflightWindow.pop_front();
     if (trace::compiledIn() && tsink)
         tsink->counter(trace::Mark::FifoLevel, now, inflightWindow.size());
-
-    return result;
 }
 
 void

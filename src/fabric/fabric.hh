@@ -15,11 +15,11 @@
 #define DYNASPAM_FABRIC_FABRIC_HH
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "fabric/config.hh"
@@ -146,9 +146,9 @@ struct FabricPipeState
 
     /** Completion cycles of recent invocations: models live-in/live-out
      *  FIFO depth back-pressure on pipelined execution. */
-    std::deque<Cycle> inflightWindow;
+    Ring<Cycle> inflightWindow;
 
-    std::deque<RecentStore> recentStores;
+    Ring<RecentStore> recentStores;
 
     /** Completion of the newest memory op, persisted across invocations
      *  for the strict ordering of the no-speculation configuration. */
@@ -191,12 +191,30 @@ struct FabricPipeState
  */
 struct FabricState : FabricPipeState
 {
-    /** Keyed by the invocation's first trace record. */
-    std::map<SeqNum, FabricPipeState> snapshots;
+    /**
+     * Rollback copies keyed by the invocation's first trace record,
+     * strictly ascending. Commits drop the oldest, squashes the
+     * youngest, so a ring serves, and a retired slot's copy keeps its
+     * capacity for the next invocation. (key, state) pairs in key order
+     * encode exactly like a std::map of them.
+     */
+    Ring<std::pair<SeqNum, FabricPipeState>> snapshots;
 
     FabricStats fstats;
 
     bool operator==(const FabricState &) const = default;
+
+    /** FabricPipeState::wellFormed(), and the rollback keys ascend
+     *  strictly (checked on decode). */
+    bool
+    wellFormed() const
+    {
+        for (std::size_t i = 1; i < snapshots.size(); i++) {
+            if (!(snapshots[i - 1].first < snapshots[i].first))
+                return false;
+        }
+        return FabricPipeState::wellFormed();
+    }
 
     template <class V>
     void
@@ -250,11 +268,24 @@ class Fabric : private FabricState
      *                        to config().liveIns
      * @param mem_safe earliest cycle fabric memory ops may access memory
      * @param now cycle the invocation is requested
+     * @param result receives the outcome; its vectors' capacity is
+     *               reused, so a caller that keeps one result object
+     *               makes execute() allocation-free once warm
      */
-    FabricExecResult execute(const isa::DynamicTrace &trace,
-                             SeqNum trace_idx,
-                             const std::vector<Cycle> &live_in_arrival,
-                             Cycle mem_safe, Cycle now);
+    void execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
+                 const std::vector<Cycle> &live_in_arrival, Cycle mem_safe,
+                 Cycle now, FabricExecResult &result);
+
+    /** execute() into a fresh result. */
+    FabricExecResult
+    execute(const isa::DynamicTrace &trace, SeqNum trace_idx,
+            const std::vector<Cycle> &live_in_arrival, Cycle mem_safe,
+            Cycle now)
+    {
+        FabricExecResult result;
+        execute(trace, trace_idx, live_in_arrival, mem_safe, now, result);
+        return result;
+    }
 
     /**
      * The invocation dispatched from @p trace_idx committed: its effects
@@ -297,11 +328,27 @@ class Fabric : private FabricState
     void restore(const State &in) { State::operator=(in); }
 
   private:
+    /** A store of the invocation in execution, for intra-trace
+     *  violation detection. */
+    struct PendingStore
+    {
+        Addr addr;
+        Cycle completeCycle;
+        InstAddr pc;
+        SeqNum seq;
+    };
+
     FabricParams params;
     mem::MemoryHierarchy &hierarchy;
     ooo::StoreSetPredictor &storeSets;
 
     trace::TraceSink *tsink = nullptr;
+
+    // Per-invocation scratch of execute(), reused across calls.
+    std::vector<Cycle> arrivalScratch;
+    std::vector<Cycle> completeScratch;
+    std::vector<Cycle> occupyScratch;
+    std::vector<PendingStore> storesScratch;
 };
 
 } // namespace dynaspam::fabric

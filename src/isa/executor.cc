@@ -134,7 +134,9 @@ Executor::run(const Program &program, mem::FunctionalMemory &memory,
             w(r(inst.src1));
             break;
           case Opcode::MUL:
-            w(asUnsigned(asSigned(r(inst.src1)) * asSigned(r(inst.src2))));
+            // Unsigned: wraps mod 2^64 to the two's-complement product,
+            // where a signed multiply would overflow.
+            w(r(inst.src1) * r(inst.src2));
             break;
           case Opcode::DIV: {
             std::int64_t den = asSigned(r(inst.src2));

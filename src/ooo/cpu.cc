@@ -57,40 +57,6 @@ fuTypeOffset(const FuPoolParams &pool, isa::FuType type)
     return off;
 }
 
-/** Remove the oldest entry (@p seq) from its line bucket. */
-void
-lsqIndexEraseOldest(std::unordered_map<Addr, std::vector<SeqNum>> &index,
-                    Addr line, SeqNum seq)
-{
-    auto it = index.find(line);
-    if (it == index.end())
-        return;
-    auto &bucket = it->second;
-    if (!bucket.empty() && bucket.front() == seq)
-        bucket.erase(bucket.begin());
-    else
-        std::erase(bucket, seq);
-    if (bucket.empty())
-        index.erase(it);
-}
-
-/** Remove the youngest entry (@p seq) from its line bucket. */
-void
-lsqIndexEraseYoungest(std::unordered_map<Addr, std::vector<SeqNum>> &index,
-                      Addr line, SeqNum seq)
-{
-    auto it = index.find(line);
-    if (it == index.end())
-        return;
-    auto &bucket = it->second;
-    if (!bucket.empty() && bucket.back() == seq)
-        bucket.pop_back();
-    else
-        std::erase(bucket, seq);
-    if (bucket.empty())
-        index.erase(it);
-}
-
 /** Trace-sink record for a ROB entry leaving the pipeline at @p now. */
 trace::InstEvent
 traceEventOf(const DynInst &d, Cycle now)
@@ -137,6 +103,16 @@ OooCpu::OooCpu(const OooParams &p, const isa::DynamicTrace &t,
     for (unsigned fu = 0; fu < fuBusyUntil.size(); fu++)
         fuBusyUntil[fu].assign(params.fuPool.count(isa::FuType(fu)), 0);
 
+    // The pipeline queues are rings sized by the geometry they model,
+    // so the cycle loop never allocates for them.
+    rob.reserve(p.robEntries);
+    frontEnd.reserve(frontEndCap);
+    loadQueue.reserve(p.lqEntries);
+    storeQueue.reserve(p.sqEntries);
+    storeBuffer.reserve(storeBufferEntries + 1);
+    iq.reserve(p.iqEntries);
+    selectScratch.reserve(p.issueWidth);
+
     readyByType.resize(unsigned(isa::FuType::NUM_FU_TYPES));
     pendingByType.resize(unsigned(isa::FuType::NUM_FU_TYPES));
     regConsumers.resize(p.numPhysRegs);
@@ -156,7 +132,7 @@ DynInst &
 OooCpu::robAt(SeqNum seq)
 {
     if (rob.empty() || seq < rob.front().seq ||
-        seq > rob.back().seq) {
+        seq - rob.front().seq >= rob.size()) {
         panic("robAt(", seq, ") out of range");
     }
     return rob[std::size_t(seq - rob.front().seq)];
@@ -165,7 +141,8 @@ OooCpu::robAt(SeqNum seq)
 const DynInst *
 OooCpu::robFind(SeqNum seq) const
 {
-    if (rob.empty() || seq < rob.front().seq || seq > rob.back().seq)
+    if (rob.empty() || seq < rob.front().seq ||
+        seq - rob.front().seq >= rob.size())
         return nullptr;
     return &rob[std::size_t(seq - rob.front().seq)];
 }
@@ -210,16 +187,16 @@ OooCpu::fetchStage()
         if (traceHooks && mappingFetchRemaining == 0) {
             FetchDirective dir = traceHooks->beforeFetch(fetchIdx, curCycle);
             if (dir.kind == FetchDirective::Kind::Offload) {
-                FrontEndInst fe;
+                FrontEndInst &fe = frontEnd.push_back_reuse();
+                fe.reset();
                 fe.traceIdx = fetchIdx;
                 fe.readyAtRename = curCycle + frontEndLatency;
                 fe.rasCp = bpred.rasCheckpoint();
                 fe.isInvocation = true;
                 fe.numRecords = dir.numRecords;
-                fe.liveIns = std::move(dir.liveIns);
-                fe.liveOuts = std::move(dir.liveOuts);
+                fe.liveIns.assign(dir.liveIns.begin(), dir.liveIns.end());
+                fe.liveOuts.assign(dir.liveOuts.begin(), dir.liveOuts.end());
                 fe.hasStores = dir.hasStores;
-                frontEnd.push_back(std::move(fe));
                 fetchIdx += dir.numRecords;
                 fetched++;
                 continue;
@@ -251,7 +228,8 @@ OooCpu::fetchStage()
             }
         }
 
-        FrontEndInst fe;
+        FrontEndInst &fe = frontEnd.push_back_reuse();
+        fe.reset();
         fe.traceIdx = fetchIdx;
         fe.readyAtRename = curCycle + frontEndLatency;
         // Snapshot the RAS before predict() can push/pop it, so a squash
@@ -299,7 +277,6 @@ OooCpu::fetchStage()
         // DynaSpAM removes.)
         const bool taken_branch = inst.isControl() && rec.taken;
 
-        frontEnd.push_back(std::move(fe));
         fetchIdx++;
         fetched++;
         pstats.fetchedInsts++;
@@ -347,9 +324,9 @@ OooCpu::renameStage()
             d.dispatchCycle = curCycle;
             d.rasCp = fe.rasCp;
 
-            InvocationState inv;
+            InvocationState &inv = invocations.emplace(d.seq);
             inv.hasStores = fe.hasStores;
-            inv.liveOutArch = fe.liveOuts;
+            inv.liveOutArch.assign(fe.liveOuts.begin(), fe.liveOuts.end());
             for (RegIndex arch : fe.liveIns)
                 inv.liveInPhys.push_back(rat[arch]);
             for (RegIndex arch : fe.liveOuts) {
@@ -360,7 +337,6 @@ OooCpu::renameStage()
                 rat[arch] = phys;
                 physReadyCycle[phys] = CYCLE_INVALID;
             }
-            invocations.emplace(d.seq, std::move(inv));
             rob.push_back(d);
             pstats.robWrites++;
             pstats.renamedInsts++;
@@ -415,12 +391,10 @@ OooCpu::renameStage()
                 d.dependsOnStore = (dep & FABRIC_SEQ_FLAG) ? 0 : dep;
             }
             loadQueue.push_back(d.seq);
-            loadsByLine[lsqLine(rec.effAddr)].push_back(d.seq);
         } else if (inst.isStore()) {
             if (params.memorySpeculation)
                 storeSets.dispatchStore(rec.pc, d.seq);
             storeQueue.push_back(d.seq);
-            storesByLine[lsqLine(rec.effAddr)].push_back(d.seq);
         }
 
         if (fe.firstMappingInst && mappingPolicyPending) {
@@ -467,6 +441,55 @@ OooCpu::olderStoresAllComplete(const DynInst &load) const
         }
     }
     return true;
+}
+
+// The LSQ scans walk the age-ordered load/store queues. These references
+// walk the whole ROB instead (every in-flight load and store is there,
+// in age order), and the scans are cross-checked against them under
+// DYNASPAM_CHECKS.
+
+const DynInst *
+OooCpu::referenceForwardingStore(const DynInst &load) const
+{
+    const Addr addr = load.record->effAddr;
+    for (std::size_t i = rob.size(); i-- > 0;) {
+        const DynInst &d = rob[i];
+        if (d.seq < load.seq && d.isStore() && d.issued &&
+            d.record->effAddr == addr)
+            return &d;
+    }
+    return nullptr;
+}
+
+SeqNum
+OooCpu::referenceViolator(const DynInst &store) const
+{
+    const Addr addr = store.record->effAddr;
+    for (const DynInst &d : rob) {
+        if (d.seq > store.seq && d.isLoad() && d.issued &&
+            d.record->effAddr == addr && d.forwardedFromSeq < store.seq)
+            return d.seq;
+    }
+    return 0;
+}
+
+std::pair<SeqNum, InstAddr>
+OooCpu::referenceInvocationVictim(SeqNum inv_seq,
+                                  const InvocationResult &result) const
+{
+    // The oldest issued younger load that read an event's address
+    // without forwarding from a store younger than the invocation; on a
+    // tie, the earliest such event.
+    for (const DynInst &d : rob) {
+        if (d.seq <= inv_seq || !d.isLoad() || !d.issued ||
+            d.forwardedFromSeq > inv_seq)
+            continue;
+        for (const auto &[addr, store_pc] : result.storeEvents) {
+            if (d.record->effAddr == addr)
+                return {d.seq, store_pc};
+        }
+    }
+    return {0, 0};
 }
 
 /** Reference readiness rule: the wakeup scheduler must agree with this
@@ -652,26 +675,25 @@ OooCpu::issueLoad(DynInst &load)
     load.addrReady = true;
 
     // Store-to-load forwarding: youngest older store with a matching
-    // address whose address is known. Only stores on the same cache
-    // line are probed (age-ordered index bucket); entries elsewhere on
-    // the line — partial overlaps in line terms — neither forward nor
-    // end the search, and the walk bails out at the first full-width
-    // (exact-address) match even when such a partial overlap was seen
-    // first.
+    // address whose address is known. The age-ordered store queue is
+    // walked youngest first; stores to other addresses — including
+    // partial overlaps on the same line — neither forward nor end the
+    // search, which stops at the first full-width (exact-address)
+    // match.
     const DynInst *src_store = nullptr;
-    if (auto it = storesByLine.find(lsqLine(addr));
-        it != storesByLine.end()) {
-        const auto &bucket = it->second;
-        for (auto rit = bucket.rbegin(); rit != bucket.rend(); ++rit) {
-            if (*rit >= load.seq)
-                continue;
-            const DynInst *store = robFind(*rit);
-            if (store && store->issued && store->record->effAddr == addr) {
-                src_store = store;
-                break;
-            }
+    for (std::size_t i = storeQueue.size(); i-- > 0;) {
+        const SeqNum seq = storeQueue[i];
+        if (seq >= load.seq)
+            continue;
+        const DynInst *store = robFind(seq);
+        if (store && store->issued && store->record->effAddr == addr) {
+            src_store = store;
+            break;
         }
     }
+    DYNASPAM_CHECK(src_store == referenceForwardingStore(load),
+                   "store-queue forwarding scan diverges from the ROB "
+                   "walk for load seq ", load.seq);
 
     const Cycle agu_done = curCycle + 1 + params.loadIssueToExecuteExtra;
 
@@ -684,20 +706,16 @@ OooCpu::issueLoad(DynInst &load)
     }
 
     // No match in flight: try the post-commit store buffer (all entries
-    // are architecturally older than any in-flight load). Youngest
-    // same-line entry with the exact address wins, as in the in-flight
-    // case.
-    if (auto it = retiredByLine.find(lsqLine(addr));
-        it != retiredByLine.end()) {
-        const auto &bucket = it->second;
-        for (auto rit = bucket.rbegin(); rit != bucket.rend(); ++rit) {
-            if (rit->addr == addr) {
-                Cycle data_ready = std::max(agu_done, rit->dataReady);
-                load.completeCycle = data_ready + params.forwardLatency;
-                load.forwardedFromSeq = rit->seq;
-                pstats.loadForwards++;
-                return;
-            }
+    // are architecturally older than any in-flight load). The youngest
+    // entry with the exact address wins, as in the in-flight case.
+    for (std::size_t i = storeBuffer.size(); i-- > 0;) {
+        const RetiredStore &rs = storeBuffer[i];
+        if (rs.addr == addr) {
+            Cycle data_ready = std::max(agu_done, rs.dataReady);
+            load.completeCycle = data_ready + params.forwardLatency;
+            load.forwardedFromSeq = rs.seq;
+            pstats.loadForwards++;
+            return;
         }
     }
 
@@ -722,23 +740,23 @@ OooCpu::checkViolations(const DynInst &store)
 {
     // A younger load that already read a value not produced by this store
     // (from cache or from an older store) violated the memory order.
-    // Same-line loads are probed in age order, so the first qualifying
+    // The load queue is walked in age order, so the first qualifying
     // entry is the oldest violator.
     const Addr addr = store.record->effAddr;
     SeqNum victim = 0;
-    if (auto it = loadsByLine.find(lsqLine(addr));
-        it != loadsByLine.end()) {
-        for (SeqNum seq : it->second) {
-            if (seq <= store.seq)
-                continue;
-            const DynInst *load = robFind(seq);
-            if (load && load->issued && load->record->effAddr == addr &&
-                load->forwardedFromSeq < store.seq) {
-                victim = seq;
-                break;
-            }
+    for (SeqNum seq : loadQueue) {
+        if (seq <= store.seq)
+            continue;
+        const DynInst *load = robFind(seq);
+        if (load && load->issued && load->record->effAddr == addr &&
+            load->forwardedFromSeq < store.seq) {
+            victim = seq;
+            break;
         }
     }
+    DYNASPAM_CHECK(victim == referenceViolator(store),
+                   "load-queue violation scan diverges from the ROB walk "
+                   "for store seq ", store.seq);
     if (!victim)
         return;
 
@@ -769,7 +787,8 @@ OooCpu::issueStage()
 
     // Nothing can issue and the policy has no per-cycle side effects:
     // skip the stage entirely.
-    if (readyCount == 0 && selectPolicy()->passive())
+    const bool passive = selectPolicy()->passive();
+    if (readyCount == 0 && passive)
         return;
 
     if (!selectPolicy()->beginCycle(curCycle))
@@ -783,6 +802,11 @@ OooCpu::issueStage()
         auto &ready = readyByType[t];
         if (ready.empty())
             continue;
+        if (passive) {
+            if (!issueOldestFirst(t, issued_total))
+                return;
+            continue;
+        }
         auto &units = fuBusyUntil[t];
         const unsigned type_offset = fuTypeOffsets[t];
 
@@ -822,83 +846,147 @@ OooCpu::issueStage()
             if (best_slot == ready.size())
                 continue;
 
-            DynInst &d = robAt(ready[best_slot]);
-            d.issued = true;
-            d.inIq = false;
-            d.issueCycle = curCycle;
             ready[best_slot] = ready.back();
             ready.pop_back();
             readyCount--;
-            auto iq_it = std::find(iq.begin(), iq.end(), d.seq);
-            *iq_it = iq.back();
-            iq.pop_back();
-
-            const isa::OpClass cls = d.inst->opClass();
-            const unsigned lat = isa::opLatency(cls);
-
-            if (d.isLoad()) {
-                issueLoad(d);
-            } else if (d.isStore()) {
-                issueStore(d);
-                // A violation squash may have emptied everything younger,
-                // including entries this loop still references: stop.
-                if (rob.empty() || rob.back().seq < d.seq)
-                    return;
-            } else {
-                d.completeCycle = curCycle + lat;
-            }
-
-            // Unpipelined dividers occupy their unit for the full
-            // latency; everything else accepts a new op next cycle.
-            const bool unpipelined = cls == isa::OpClass::IntDiv ||
-                                     cls == isa::OpClass::FloatDiv;
-            units[u] = unpipelined ? d.completeCycle : curCycle + 1;
-
-            // Algorithm 1 line 13: UpdateTables — notify the policy so
-            // the mapping generator records the placement.
-            selectPolicy()->selected(type_offset + u, d);
-
-            if (d.inst->hasDest()) {
-                physReadyCycle[d.destPhys] = d.completeCycle;
-                wakeConsumers(d.destPhys);
-            }
-            d.completed = true;   // completion time is now determined
-
-            // Statistics: register reads, bypass detection, wakeups.
-            pstats.issuedInsts++;
-            pstats.fuOps[t]++;
-            pstats.iqWakeups += iq.size();
-            for (RegIndex src : {d.src1Phys, d.src2Phys}) {
-                if (src == REG_INVALID)
-                    continue;
-                pstats.regReads++;
-                if (physReadyCycle[src] == curCycle)
-                    pstats.bypasses++;
-            }
-            if (d.inst->hasDest())
-                pstats.regWrites++;
-
-            if (d.mappingInst && mappingActive) {
-                if (mappingIssueRemaining > 0)
-                    mappingIssueRemaining--;
-                if (mappingIssueRemaining == 0) {
-                    // Whole trace issued: restore the host priority rule.
-                    mappingPolicyActive = false;
-                }
-            }
-
-            // Branch resolution: schedule the front-end redirect.
-            if (d.mispredicted) {
-                pstats.branchMispredicts++;
-                fetchBlockedOnBranch = false;
-                fetchResumeCycle = std::max(
-                    fetchResumeCycle,
-                    d.completeCycle + params.branchMispredictPenalty);
-            }
-
+            if (!issueInst(robAt(best_seq), t, u))
+                return;
             issued_total++;
         }
     }
+}
+
+bool
+OooCpu::issueOldestFirst(unsigned t, unsigned &issued_total)
+{
+    // Every score is 0, so each free unit in turn takes the oldest
+    // eligible candidate: the k oldest go to the first k free units in
+    // seq order. Issuing never makes another candidate of this cycle
+    // eligible or ineligible (a store issued now completes next cycle
+    // at the earliest, and wakeups land on the pending lists), so one
+    // pass over the ready list collects them.
+    auto &ready = readyByType[t];
+    auto &units = fuBusyUntil[t];
+    unsigned free_units = 0;
+    for (Cycle busy_until : units)
+        free_units += busy_until <= curCycle;
+    const std::size_t k =
+        std::min<std::size_t>(free_units, params.issueWidth - issued_total);
+    if (k == 0)
+        return true;
+
+    // chosen: the k smallest eligible seqs, ascending.
+    std::vector<SeqNum> &chosen = selectScratch;
+    chosen.clear();
+    for (SeqNum seq : ready) {
+        if (chosen.size() == k && seq > chosen.back())
+            continue;
+        const DynInst &d = robAt(seq);
+        if (d.isLoad() && !loadMemoryReady(d))
+            continue;
+        DYNASPAM_CHECK(isInstReady(d), "ready list offers seq ", d.seq,
+                       " which the reference readiness rule rejects");
+        if (chosen.size() == k)
+            chosen.pop_back();
+        chosen.insert(std::upper_bound(chosen.begin(), chosen.end(), seq),
+                      seq);
+    }
+
+    std::size_t next = 0;
+    for (unsigned u = 0; u < units.size() && next < chosen.size(); u++) {
+        if (units[u] > curCycle)
+            continue;
+        const SeqNum seq = chosen[next++];
+        // A violation squash by an earlier store of this pass removed
+        // this candidate and everything younger.
+        if (rob.empty() || seq > rob.back().seq)
+            break;
+        // Same ready-list removal as the scoring select, so the
+        // scheduler state matches it entry for entry.
+        auto slot = std::find(ready.begin(), ready.end(), seq);
+        *slot = ready.back();
+        ready.pop_back();
+        readyCount--;
+        if (!issueInst(robAt(seq), t, u))
+            return false;
+        issued_total++;
+    }
+    return true;
+}
+
+bool
+OooCpu::issueInst(DynInst &d, unsigned t, unsigned u)
+{
+    d.issued = true;
+    d.inIq = false;
+    d.issueCycle = curCycle;
+    auto iq_it = std::find(iq.begin(), iq.end(), d.seq);
+    *iq_it = iq.back();
+    iq.pop_back();
+
+    const isa::OpClass cls = d.inst->opClass();
+    const unsigned lat = isa::opLatency(cls);
+
+    if (d.isLoad()) {
+        issueLoad(d);
+    } else if (d.isStore()) {
+        issueStore(d);
+        // A violation squash may have emptied everything younger,
+        // including entries this loop still references: stop.
+        if (rob.empty() || rob.back().seq < d.seq)
+            return false;
+    } else {
+        d.completeCycle = curCycle + lat;
+    }
+
+    // Unpipelined dividers occupy their unit for the full
+    // latency; everything else accepts a new op next cycle.
+    const bool unpipelined = cls == isa::OpClass::IntDiv ||
+                             cls == isa::OpClass::FloatDiv;
+    fuBusyUntil[t][u] = unpipelined ? d.completeCycle : curCycle + 1;
+
+    // Algorithm 1 line 13: UpdateTables — notify the policy so
+    // the mapping generator records the placement.
+    selectPolicy()->selected(fuTypeOffsets[t] + u, d);
+
+    if (d.inst->hasDest()) {
+        physReadyCycle[d.destPhys] = d.completeCycle;
+        wakeConsumers(d.destPhys);
+    }
+    d.completed = true;   // completion time is now determined
+
+    // Statistics: register reads, bypass detection, wakeups.
+    pstats.issuedInsts++;
+    pstats.fuOps[t]++;
+    pstats.iqWakeups += iq.size();
+    for (RegIndex src : {d.src1Phys, d.src2Phys}) {
+        if (src == REG_INVALID)
+            continue;
+        pstats.regReads++;
+        if (physReadyCycle[src] == curCycle)
+            pstats.bypasses++;
+    }
+    if (d.inst->hasDest())
+        pstats.regWrites++;
+
+    if (d.mappingInst && mappingActive) {
+        if (mappingIssueRemaining > 0)
+            mappingIssueRemaining--;
+        if (mappingIssueRemaining == 0) {
+            // Whole trace issued: restore the host priority rule.
+            mappingPolicyActive = false;
+        }
+    }
+
+    // Branch resolution: schedule the front-end redirect.
+    if (d.mispredicted) {
+        pstats.branchMispredicts++;
+        fetchBlockedOnBranch = false;
+        fetchResumeCycle = std::max(
+            fetchResumeCycle,
+            d.completeCycle + params.branchMispredictPenalty);
+    }
+    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -952,8 +1040,8 @@ OooCpu::startReadyInvocations()
             continue;
 
         DynInst &d = robAt(seq);
-        inv.result = traceHooks->offloadStart(d.traceIdx, d.traceLen,
-                                              curCycle, arrivals, mem_safe);
+        traceHooks->offloadStart(d.traceIdx, d.traceLen, curCycle, arrivals,
+                                 mem_safe, inv.result);
         inv.resolved = true;
         d.completed = true;
         d.completeCycle = inv.result.completeCycle;
@@ -987,19 +1075,15 @@ OooCpu::startReadyInvocations()
             // Younger host loads issued speculatively past this
             // invocation: any that read a location the invocation
             // stores to must replay (same discipline as store-set
-            // violation handling between host instructions). Probe
-            // only same-line loads per store event; buckets are
-            // age-ordered, so the first qualifying entry per event is
-            // that event's oldest victim, and the strict < keeps the
-            // earliest event's store PC when several events hit the
-            // same load.
+            // violation handling between host instructions). The load
+            // queue is age-ordered, so the first qualifying entry per
+            // store event is that event's oldest victim, and the strict
+            // < keeps the earliest event's store PC when several events
+            // hit the same load.
             SeqNum victim = 0;
             InstAddr victim_store_pc = 0;
             for (const auto &[addr, store_pc] : inv.result.storeEvents) {
-                auto it = loadsByLine.find(lsqLine(addr));
-                if (it == loadsByLine.end())
-                    continue;
-                for (SeqNum lq_seq : it->second) {
+                for (SeqNum lq_seq : loadQueue) {
                     if (lq_seq <= seq)
                         continue;
                     if (victim && lq_seq >= victim)
@@ -1016,6 +1100,11 @@ OooCpu::startReadyInvocations()
                     }
                 }
             }
+            DYNASPAM_CHECK(std::make_pair(victim, victim_store_pc) ==
+                               referenceInvocationVictim(seq, inv.result),
+                           "load-queue scan of the store events of "
+                           "invocation seq ", seq,
+                           " diverges from the ROB walk");
             if (victim) {
                 DynInst &load = robAt(victim);
                 pstats.memOrderViolations++;
@@ -1102,22 +1191,8 @@ OooCpu::commitStage()
                 storeSets.retireStore(head.pc, head.seq);
             storeBuffer.push_back(
                 {head.record->effAddr, head.completeCycle, head.seq});
-            retiredByLine[lsqLine(head.record->effAddr)].push_back(
-                storeBuffer.back());
-            if (storeBuffer.size() > storeBufferEntries) {
-                const RetiredStore &oldest = storeBuffer.front();
-                auto it = retiredByLine.find(lsqLine(oldest.addr));
-                if (it != retiredByLine.end()) {
-                    auto &bucket = it->second;
-                    if (!bucket.empty() &&
-                        bucket.front().seq == oldest.seq) {
-                        bucket.erase(bucket.begin());
-                    }
-                    if (bucket.empty())
-                        retiredByLine.erase(it);
-                }
+            if (storeBuffer.size() > storeBufferEntries)
                 storeBuffer.pop_front();
-            }
         }
 
         if (head.isControl()) {
@@ -1145,19 +1220,11 @@ OooCpu::commitStage()
         }
 
         if (head.isLoad()) {
-            if (!loadQueue.empty() && loadQueue.front() == head.seq) {
+            if (!loadQueue.empty() && loadQueue.front() == head.seq)
                 loadQueue.pop_front();
-                lsqIndexEraseOldest(loadsByLine,
-                                    lsqLine(head.record->effAddr),
-                                    head.seq);
-            }
         } else if (head.isStore()) {
-            if (!storeQueue.empty() && storeQueue.front() == head.seq) {
+            if (!storeQueue.empty() && storeQueue.front() == head.seq)
                 storeQueue.pop_front();
-                lsqIndexEraseOldest(storesByLine,
-                                    lsqLine(head.record->effAddr),
-                                    head.seq);
-            }
         }
 
         DYNASPAM_CHECK(head.traceIdx == commitIdx, "host commit of record ",
@@ -1232,15 +1299,6 @@ OooCpu::squashFrom(SeqNum seq, SeqNum resume_trace_idx, Cycle restart)
             }
             if (d.isStore() && params.memorySpeculation)
                 storeSets.retireStore(d.pc, d.seq);
-            // The popped instruction is the youngest in flight, so it
-            // sits at the young end of its line bucket.
-            if (d.isLoad()) {
-                lsqIndexEraseYoungest(loadsByLine,
-                                      lsqLine(d.record->effAddr), d.seq);
-            } else if (d.isStore()) {
-                lsqIndexEraseYoungest(storesByLine,
-                                      lsqLine(d.record->effAddr), d.seq);
-            }
             if (d.mappingInst)
                 mapping_killed = true;
         }
@@ -1270,7 +1328,7 @@ OooCpu::squashFrom(SeqNum seq, SeqNum resume_trace_idx, Cycle restart)
     if (mapping_killed || mappingActive)
         abortActiveMapping();
 
-    // Keep ROB sequence numbers contiguous: robAt() indexes the deque by
+    // Keep ROB sequence numbers contiguous: robAt() indexes the ring by
     // (seq - head seq), so renames after a squash must continue exactly
     // where the surviving tail ends. Squashed sequence numbers were
     // scrubbed from every side structure above, so reuse is safe.
@@ -1377,6 +1435,11 @@ OooCpu::fits(const SavedState &in) const
         in.pendingByType.size() != pendingByType.size() ||
         in.fuBusyUntil.size() != fuBusyUntil.size())
         return false;
+    if (in.rob.size() > params.robEntries ||
+        in.loadQueue.size() > params.lqEntries ||
+        in.storeQueue.size() > params.sqEntries ||
+        in.frontEnd.size() > frontEndCap)
+        return false;
     for (std::size_t t = 0; t < fuBusyUntil.size(); t++) {
         if (in.fuBusyUntil[t].size() != fuBusyUntil[t].size())
             return false;
@@ -1412,7 +1475,7 @@ OooCpuState::wellFormed() const
 
     if (rat.size() != isa::NUM_ARCH_REGS ||
         regConsumers.size() != phys_regs || !all(rat, phys_ok) ||
-        !all(freeList, phys_ok))
+        !all(freeList, phys_ok) || storeBuffer.size() > storeBufferEntries)
         return false;
     // robAt()/robFind() index the ROB by seq - front().seq, so its
     // seqs must be contiguous; the issue and LSQ queues name live

@@ -21,12 +21,11 @@
 #define DYNASPAM_OOO_CPU_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "isa/trace.hh"
@@ -159,6 +158,20 @@ struct OooCpuState
 
         bool operator==(const FrontEndInst &) const = default;
 
+        /** Back to the default value, keeping the live-register
+         *  vectors' capacity (the front end reuses its ring slots). */
+        void
+        reset()
+        {
+            std::vector<RegIndex> ins = std::move(liveIns);
+            std::vector<RegIndex> outs = std::move(liveOuts);
+            *this = FrontEndInst{};
+            ins.clear();
+            outs.clear();
+            liveIns = std::move(ins);
+            liveOuts = std::move(outs);
+        }
+
         template <class V>
         void
         fields(V &v)
@@ -192,6 +205,22 @@ struct OooCpuState
 
         bool operator==(const InvocationState &) const = default;
 
+        /** Back to the default value, keeping the vectors' capacity. */
+        void
+        reset()
+        {
+            liveInPhys.clear();
+            liveOutArch.clear();
+            liveOutPhys.clear();
+            liveOutPrevPhys.clear();
+            hasStores = false;
+            resolved = false;
+            result.squashed = false;
+            result.completeCycle = 0;
+            result.liveOutReady.clear();
+            result.storeEvents.clear();
+        }
+
         template <class V>
         void
         fields(V &v)
@@ -209,9 +238,10 @@ struct OooCpuState
     /**
      * Age-ordered slab of in-flight invocation states. Invocations
      * allocate at dispatch (strictly increasing seq), retire from the
-     * front (in-order commit) and squash from the back, so a deque of
-     * (seq, state) pairs replaces the former std::map: O(1) at both
-     * ends, contiguous iteration, no per-node allocation.
+     * front (in-order commit) and squash from the back, so a ring of
+     * (seq, state) pairs serves: O(1) at both ends, contiguous
+     * iteration, and a slot's vectors keep their capacity for the next
+     * invocation dispatched into it.
      */
     class InvocationTable
     {
@@ -249,10 +279,15 @@ struct OooCpuState
             return 0;
         }
 
-        void
-        emplace(SeqNum seq, InvocationState inv)
+        /** Append the state of invocation @p seq, default-valued but
+         *  reusing a retired slot's capacity. */
+        InvocationState &
+        emplace(SeqNum seq)
         {
-            slots.emplace_back(seq, std::move(inv));
+            Entry &slot = slots.push_back_reuse();
+            slot.first = seq;
+            slot.second.reset();
+            return slot.second;
         }
 
         void
@@ -263,9 +298,9 @@ struct OooCpuState
             } else if (!slots.empty() && slots.back().first == seq) {
                 slots.pop_back();
             } else {
-                for (auto it = slots.begin(); it != slots.end(); ++it) {
-                    if (it->first == seq) {
-                        slots.erase(it);
+                for (std::size_t i = 0; i < slots.size(); i++) {
+                    if (slots[i].first == seq) {
+                        slots.erase(i);
                         return;
                     }
                 }
@@ -282,11 +317,8 @@ struct OooCpuState
         }
 
       private:
-        std::deque<Entry> slots;
+        Ring<Entry> slots;
     };
-
-    /** Address-keyed index over an LSQ queue: line -> age-ordered seqs. */
-    using LsqIndex = std::unordered_map<Addr, std::vector<SeqNum>>;
 
     /** Scheduler entry whose sources are all known (see below). */
     struct PendingWakeup
@@ -333,7 +365,7 @@ struct OooCpuState
     bool fetchBlockedOnBranch = false;  ///< waiting for mispredict resolve
     Addr lastFetchBlock = ~Addr(0);
 
-    std::deque<FrontEndInst> frontEnd;
+    Ring<FrontEndInst> frontEnd;
 
     // Rename state.
     std::vector<RegIndex> rat;              ///< arch -> phys
@@ -341,10 +373,10 @@ struct OooCpuState
     std::vector<Cycle> physReadyCycle;      ///< CYCLE_INVALID = not ready
 
     // Back-end structures.
-    std::deque<DynInst> rob;                ///< contiguous seq numbers
+    Ring<DynInst> rob;                      ///< contiguous seq numbers
     std::vector<SeqNum> iq;                 ///< membership set, unordered
-    std::deque<SeqNum> loadQueue;
-    std::deque<SeqNum> storeQueue;
+    Ring<SeqNum> loadQueue;                 ///< age-ordered
+    Ring<SeqNum> storeQueue;                ///< age-ordered
     InvocationTable invocations;
 
     /**
@@ -365,19 +397,14 @@ struct OooCpuState
     std::size_t readyCount = 0;
     std::size_t pendingCount = 0;
 
-    // Cacheline-granular LSQ address index: disambiguation and
-    // forwarding probe only same-line entries, in age order, instead of
-    // walking the full queues per memory op.
-    LsqIndex storesByLine;
-    LsqIndex loadsByLine;
-
     /** Per-cycle cache of the oldest incomplete store's seq (used by
      *  the no-speculation load-readiness rule). CYCLE_INVALID = stale. */
     Cycle sqBoundCycle = CYCLE_INVALID;
     SeqNum sqBound = 0;
 
-    std::deque<RetiredStore> storeBuffer;
-    std::unordered_map<Addr, std::vector<RetiredStore>> retiredByLine;
+    /** Post-commit store buffer, oldest first. */
+    Ring<RetiredStore> storeBuffer;
+    static constexpr std::size_t storeBufferEntries = 16;
 
     // FU pool: busy-until cycle per unit, grouped by type.
     std::vector<std::vector<Cycle>> fuBusyUntil;
@@ -426,12 +453,9 @@ struct OooCpuState
         v("regConsumers", regConsumers);
         v("readyCount", readyCount);
         v("pendingCount", pendingCount);
-        v("storesByLine", storesByLine);
-        v("loadsByLine", loadsByLine);
         v("sqBoundCycle", sqBoundCycle);
         v("sqBound", sqBound);
         v("storeBuffer", storeBuffer);
-        v("retiredByLine", retiredByLine);
         v("fuBusyUntil", fuBusyUntil);
         v("mappingActive", mappingActive);
         v("mappingTraceIdx", mappingTraceIdx);
@@ -449,9 +473,9 @@ struct OooCpuState
      * architectural registers, each physical index (RAT, free list,
      * ROB, invocations) names an entry of physReadyCycle or is
      * REG_INVALID, and architectural indices stay below NUM_ARCH_REGS.
-     * The ROB's seqs are contiguous and the IQ and LSQ name ROB
-     * entries. Checked on decode, since the pipeline indexes with
-     * these unchecked.
+     * The ROB's seqs are contiguous, the IQ and LSQ name ROB entries
+     * and the store buffer holds at most storeBufferEntries. Checked on
+     * decode, since the pipeline indexes with these unchecked.
      */
     bool wellFormed() const;
 };
@@ -561,9 +585,20 @@ class OooCpu : private OooCpuState
     bool loadMemoryReady(const DynInst &load);
     SeqNum incompleteStoreBound();
 
-    /** Cacheline granularity of the LSQ address index. */
-    static constexpr unsigned lsqLineShift = 6;
-    static Addr lsqLine(Addr addr) { return addr >> lsqLineShift; }
+    /** Issue @p d on unit @p unit of FU type @p type. @return false when
+     *  the issue squashed @p d itself, so the cycle's selection is void. */
+    bool issueInst(DynInst &d, unsigned type, unsigned unit);
+    /** Oldest-first selection for a passive policy: one pass over the
+     *  ready list of @p type. @return false as issueInst. */
+    bool issueOldestFirst(unsigned type, unsigned &issued_total);
+
+    // Reference walks over the whole ROB for the DYNASPAM_CHECK
+    // cross-checks of the age-ordered LSQ scans.
+    const DynInst *referenceForwardingStore(const DynInst &load) const;
+    SeqNum referenceViolator(const DynInst &store) const;
+    std::pair<SeqNum, InstAddr>
+    referenceInvocationVictim(SeqNum inv_seq,
+                              const InvocationResult &result) const;
 
     OooParams params;
     const isa::DynamicTrace &trace;
@@ -582,10 +617,10 @@ class OooCpu : private OooCpuState
     std::size_t frontEndCap;
     unsigned fuTypeOffsets[unsigned(isa::FuType::NUM_FU_TYPES)] = {};
 
-    static constexpr std::size_t storeBufferEntries = 16;
-
     /** Reused live-in arrival scratch for startReadyInvocations(). */
     std::vector<Cycle> arrivalScratch;
+    /** Reused candidate scratch for issueOldestFirst(). */
+    std::vector<SeqNum> selectScratch;
 
   public:
     /**
@@ -628,7 +663,8 @@ class OooCpu : private OooCpuState
     void restore(const SavedState &in, SelectPolicy *mapping_policy);
 
     /** @p in has this CPU's register-file, FU-pool and predictor table
-     *  sizes (restore() needs them). */
+     *  sizes (restore() needs them), and its ROB, LSQ and front-end
+     *  occupancy fits this CPU's capacities. */
     bool fits(const SavedState &in) const;
 };
 

@@ -11,6 +11,7 @@
 #define DYNASPAM_OOO_HOOKS_HH
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -39,9 +40,11 @@ struct FetchDirective
     /** BeginMapping: resource-aware policy to install during mapping. */
     SelectPolicy *policy = nullptr;
 
-    /** Offload: architectural live-in/live-out registers of the trace. */
-    std::vector<RegIndex> liveIns;
-    std::vector<RegIndex> liveOuts;
+    /** Offload: architectural live-in/live-out registers of the trace.
+     *  Views into the hooks' storage, valid until the next
+     *  beforeFetch() call; fetch copies them. */
+    std::span<const RegIndex> liveIns;
+    std::span<const RegIndex> liveOuts;
 
     /** Offload: the trace contains store instructions. Younger host loads
      *  conservatively wait for the invocation to resolve. */
@@ -142,19 +145,20 @@ class TraceHooks
      * @param mem_safe cycle by which all older host-pipeline stores have
      *                 completed; fabric memory operations must not access
      *                 memory earlier
-     * @return the invocation's timing and squash outcome
+     * @param result receives the invocation's timing and squash outcome;
+     *               arrives default-valued, its vectors possibly with
+     *               capacity to reuse
      */
-    virtual InvocationResult
+    virtual void
     offloadStart(SeqNum trace_idx, std::uint32_t num_records, Cycle now,
-                 const std::vector<Cycle> &live_in_ready, Cycle mem_safe)
+                 const std::vector<Cycle> &live_in_ready, Cycle mem_safe,
+                 InvocationResult &result)
     {
         (void)trace_idx;
         (void)num_records;
         (void)live_in_ready;
         (void)mem_safe;
-        InvocationResult result;
         result.completeCycle = now + 1;
-        return result;
     }
 
     /** The invocation committed atomically at ROB head. */

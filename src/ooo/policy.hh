@@ -55,10 +55,13 @@ class SelectPolicy
     virtual bool beginCycle(Cycle now) { (void)now; return true; }
 
     /**
-     * A passive policy has no per-cycle or per-candidate side effects:
-     * beginCycle always returns true and score() is pure. The issue
-     * unit may then skip scheduling cycles with no ready candidates
-     * entirely. Mapping policies are stateful and must return false.
+     * A passive policy has no per-cycle or per-candidate side effects
+     * and no preference: beginCycle always returns true, selected()
+     * does nothing and score() returns 0 for every pairing, so select
+     * is oldest-first. The issue unit may then skip scheduling cycles
+     * with no ready candidates entirely and pick each FU type's oldest
+     * candidates in one pass without scoring. Mapping policies are
+     * stateful and must return false.
      */
     virtual bool passive() const { return false; }
 };

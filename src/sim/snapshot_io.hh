@@ -51,8 +51,9 @@ namespace dynaspam::sim
 /** Bump when the snapshot body encoding changes shape. Mismatched
  *  versions are rejected at load time and fall back to re-warming.
  *  Version 2: the body follows the components' field lists, integers
- *  at their declared widths. */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+ *  at their declared widths. Version 3: the CPU's LSQ and store-buffer
+ *  line indexes are gone from the body. */
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /**
  * Stable identity hash of a SimInput: program name and code, initial

@@ -1,16 +1,23 @@
 /**
  * @file
- * Unit tests for the common module: stats, histogram, RNG, logging.
+ * Unit tests for the common module: stats, histogram, RNG, logging,
+ * the pipeline-queue ring buffer.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <set>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
+#include "isa/program.hh"
+#include "isa/trace.hh"
+#include "sim/field_codec.hh"
 
 using namespace dynaspam;
 
@@ -175,4 +182,153 @@ TEST(Logging, FatalThrowsFatalError)
     } catch (const FatalError &e) {
         EXPECT_STREQ(e.what(), "x=1 y=2");
     }
+}
+
+// --- Ring ---
+
+namespace
+{
+
+std::vector<int>
+contents(const Ring<int> &ring)
+{
+    return std::vector<int>(ring.begin(), ring.end());
+}
+
+/** A ring of capacity 8 whose head sits at slot @p offset, holding
+ *  @p values front to back. */
+Ring<int>
+rotated(std::size_t offset, const std::vector<int> &values)
+{
+    Ring<int> ring(8);
+    for (std::size_t i = 0; i < offset; i++)
+        ring.push_back(-1);
+    for (std::size_t i = 0; i < offset; i++)
+        ring.pop_front();
+    for (int v : values)
+        ring.push_back(v);
+    return ring;
+}
+
+} // namespace
+
+TEST(Ring, CapacityIsAPowerOfTwo)
+{
+    EXPECT_EQ(Ring<int>(192).capacity(), 256u);
+    EXPECT_EQ(Ring<int>(16).capacity(), 16u);
+    EXPECT_EQ(Ring<int>(17).capacity(), 32u);
+}
+
+TEST(Ring, WrapsAroundWithoutGrowing)
+{
+    Ring<int> ring(4);
+    for (int i = 0; i < 3; i++)
+        ring.push_back(i);
+    // Push at the tail and pop at the head until the window has
+    // wrapped past the end of the slot array several times.
+    for (int i = 3; i < 40; i++) {
+        ring.push_back(i);
+        ring.pop_front();
+        ASSERT_EQ(ring.size(), 3u);
+        EXPECT_EQ(ring.front(), i - 2);
+        EXPECT_EQ(ring.back(), i);
+        EXPECT_EQ(ring[1], i - 1);
+    }
+    EXPECT_EQ(ring.capacity(), 4u);
+}
+
+TEST(Ring, PopsAtBothEnds)
+{
+    Ring<int> ring = rotated(6, {1, 2, 3, 4, 5});
+    ring.pop_front();
+    ring.pop_back();
+    EXPECT_EQ(contents(ring), (std::vector<int>{2, 3, 4}));
+    ring.pop_back();
+    ring.pop_back();
+    ring.pop_front();
+    EXPECT_TRUE(ring.empty());
+    ring.push_back(9);
+    EXPECT_EQ(ring.front(), 9);
+    EXPECT_EQ(ring.back(), 9);
+}
+
+TEST(Ring, GrowsWhenFullKeepingOrder)
+{
+    Ring<int> ring = rotated(5, {0, 1, 2, 3, 4, 5, 6, 7});
+    ASSERT_EQ(ring.capacity(), 8u);
+    ring.push_back(8);
+    EXPECT_EQ(ring.capacity(), 16u);
+    EXPECT_EQ(contents(ring),
+              (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
+TEST(Ring, EraseShiftsYoungerElements)
+{
+    Ring<int> ring = rotated(7, {10, 11, 12, 13});
+    ring.erase(1);
+    EXPECT_EQ(contents(ring), (std::vector<int>{10, 12, 13}));
+}
+
+TEST(Ring, CopyAssignIntoSmallerAndLargerRings)
+{
+    const Ring<int> source = rotated(6, {1, 2, 3, 4, 5, 6});
+
+    Ring<int> smaller(4);
+    smaller.push_back(99);
+    smaller = source;
+    EXPECT_EQ(contents(smaller), contents(source));
+    EXPECT_GE(smaller.capacity(), source.size());
+
+    Ring<int> larger(64);
+    for (int i = 0; i < 40; i++)
+        larger.push_back(i);
+    larger = source;
+    EXPECT_EQ(contents(larger), contents(source));
+    EXPECT_EQ(larger.capacity(), 64u) << "enough slots are reused";
+
+    Ring<int> moved = std::move(larger);
+    EXPECT_EQ(contents(moved), contents(source));
+    EXPECT_TRUE(larger.empty());
+}
+
+TEST(Ring, EqualityIgnoresHeadOffsetAndCapacity)
+{
+    EXPECT_EQ(rotated(0, {1, 2, 3}), rotated(5, {1, 2, 3}));
+    Ring<int> big(128);
+    for (int v : {1, 2, 3})
+        big.push_back(v);
+    EXPECT_EQ(big, rotated(7, {1, 2, 3}));
+    EXPECT_NE(rotated(2, {1, 2, 3}), rotated(2, {1, 2}));
+    EXPECT_NE(rotated(2, {1, 2, 3}), rotated(2, {1, 2, 4}));
+}
+
+TEST(Ring, EncodesLikeADequeOfTheSameElements)
+{
+    const std::vector<std::uint64_t> values = {7, 0, 1ull << 40, 3, 9};
+    Ring<std::uint64_t> ring(4);
+    for (int i = 0; i < 3; i++)
+        ring.push_back(0);
+    for (int i = 0; i < 3; i++)
+        ring.pop_front();
+    std::deque<std::uint64_t> deque;
+    for (std::uint64_t v : values) {
+        ring.push_back(v);
+        deque.push_back(v);
+    }
+
+    sim::FieldWriter ring_writer;
+    ring_writer.put(ring);
+    sim::FieldWriter deque_writer;
+    deque_writer.put(deque);
+    const std::string bytes = ring_writer.take();
+    EXPECT_EQ(bytes, deque_writer.take());
+
+    // And it decodes back into the same elements.
+    const isa::Program program("empty");
+    const isa::DynamicTrace trace(program);
+    sim::FieldReader reader(bytes, trace);
+    Ring<std::uint64_t> decoded;
+    reader.get(decoded);
+    EXPECT_TRUE(reader.done());
+    EXPECT_EQ(decoded, ring);
 }

@@ -11,7 +11,10 @@
 
 #include <tuple>
 
+#include "core/walker.hh"
 #include "isa/executor.hh"
+#include "memory/cache.hh"
+#include "ooo/cpu.hh"
 #include "sim/system.hh"
 #include "workloads/workload.hh"
 
@@ -130,3 +133,52 @@ TEST_P(SystemInvariants, EnergyIsPhysical)
 INSTANTIATE_TEST_SUITE_P(AllWorkloadsAllModes, SystemInvariants,
                          ::testing::ValuesIn(allCombinations()),
                          paramName);
+
+// The fetch path consults only probeTraceKey() until a mapping may
+// start, relying on walker.hh's contract: probe.valid == walk.valid and,
+// when valid, probe.key == walk.key. Check it at every conditional
+// branch of every workload, against predictor state a real run trained
+// (sampled as the run goes, and at its end).
+TEST(WalkerProperties, KeyProbeAgreesWithFullWalk)
+{
+    for (const auto &name : workloads::allWorkloadNames()) {
+        workloads::Workload wl = workloads::makeWorkload(name);
+        mem::FunctionalMemory memory = wl.initialMemory;
+        isa::DynamicTrace trace(wl.program);
+        isa::Executor::run(wl.program, memory, &trace);
+        mem::MemoryHierarchy hierarchy;
+        ooo::OooCpu cpu(ooo::OooParams{}, trace, hierarchy);
+
+        std::uint64_t checked = 0;
+        std::uint64_t valid = 0;
+        auto agree = [&] {
+            const ooo::BranchPredictor &bpred = cpu.branchPredictor();
+            for (InstAddr pc = 0; pc < wl.program.size(); pc++) {
+                if (!wl.program.inst(pc).isCondBranch())
+                    continue;
+                for (unsigned max_len : {16u, 32u, 40u}) {
+                    const core::TraceKeyProbe probe = core::probeTraceKey(
+                        wl.program, bpred, pc, max_len);
+                    const core::TraceWalk walk = core::walkPredictedPath(
+                        wl.program, bpred, pc, max_len);
+                    ASSERT_EQ(probe.valid, walk.valid)
+                        << name << " pc " << pc << " len " << max_len;
+                    if (probe.valid) {
+                        ASSERT_EQ(probe.key, walk.key)
+                            << name << " pc " << pc << " len " << max_len;
+                        valid++;
+                    }
+                    checked++;
+                }
+            }
+        };
+        while (!cpu.done()) {
+            cpu.tick();
+            if (cpu.now() % 20000 == 0)
+                agree();
+        }
+        agree();
+        EXPECT_GT(checked, 0u) << name << " has no conditional branch";
+        EXPECT_GT(valid, 0u) << name << " never walks a valid trace";
+    }
+}

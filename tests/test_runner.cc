@@ -24,12 +24,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/binio.hh"
 #include "common/interrupt.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "runner/runner.hh"
 #include "sim/snapshot_io.hh"
+#include "workloads/workload.hh"
 
 using namespace dynaspam;
 using runner::Job;
@@ -39,6 +41,17 @@ namespace fs = std::filesystem;
 
 namespace
 {
+
+/** Runner options with @p jobs workers and result cache @p cache_dir
+ *  (empty: no cache); everything else at its default. */
+runner::RunnerOptions
+runnerOptions(unsigned jobs, std::string cache_dir = {})
+{
+    runner::RunnerOptions options;
+    options.jobs = jobs;
+    options.cacheDir = std::move(cache_dir);
+    return options;
+}
 
 /** Fresh unique directory under the system temp dir, removed on exit. */
 class TempDir
@@ -290,8 +303,8 @@ TEST(RunnerDeterminism, OneThreadAndEightThreadsMatchByteForByte)
     const std::vector<Job> jobs = determinismSweep();
     ASSERT_EQ(jobs.size(), 20u);
 
-    runner::Runner serial(runner::RunnerOptions{1, ""});
-    runner::Runner parallel(runner::RunnerOptions{8, ""});
+    runner::Runner serial(runnerOptions(1));
+    runner::Runner parallel(runnerOptions(8));
     auto serial_outcomes = serial.runAll(jobs);
     auto parallel_outcomes = parallel.runAll(jobs);
 
@@ -323,7 +336,7 @@ TEST(ResultCache, WarmRerunPerformsZeroSimulations)
         Job{"PF", SystemMode::AccelSpec, 32, 1, 1},
     };
 
-    runner::Runner cold(runner::RunnerOptions{2, dir.path()});
+    runner::Runner cold(runnerOptions(2, dir.path()));
     auto cold_outcomes = cold.runAll(jobs);
     EXPECT_EQ(cold.stats().get("runner.cache_hits"), 0u);
     EXPECT_EQ(cold.stats().get("runner.cache_misses"), jobs.size());
@@ -331,7 +344,7 @@ TEST(ResultCache, WarmRerunPerformsZeroSimulations)
     for (const auto &outcome : cold_outcomes)
         EXPECT_FALSE(outcome.fromCache);
 
-    runner::Runner warm(runner::RunnerOptions{2, dir.path()});
+    runner::Runner warm(runnerOptions(2, dir.path()));
     auto warm_outcomes = warm.runAll(jobs);
     EXPECT_EQ(warm.stats().get("runner.cache_hits"), jobs.size());
     EXPECT_EQ(warm.stats().get("runner.jobs_executed"), 0u);
@@ -374,7 +387,7 @@ TEST(ResultCache, CorruptEntryFallsBackToSimulation)
         }
         EXPECT_FALSE(cache.load(job).has_value()) << content;
 
-        runner::Runner r(runner::RunnerOptions{1, dir.path()});
+        runner::Runner r(runnerOptions(1, dir.path()));
         auto outcomes = r.runAll({job});
         EXPECT_FALSE(outcomes[0].fromCache) << content;
         EXPECT_EQ(outcomes[0].result.cycles, reference.cycles);
@@ -397,7 +410,7 @@ TEST(ResultCache, EpochMismatchInvalidates)
     EXPECT_FALSE(current.load(job).has_value());
 
     // ...and a run through the Runner re-simulates and repairs it.
-    runner::Runner r(runner::RunnerOptions{1, dir.path()});
+    runner::Runner r(runnerOptions(1, dir.path()));
     auto outcomes = r.runAll({job});
     EXPECT_FALSE(outcomes[0].fromCache);
     EXPECT_TRUE(current.load(job).has_value());
@@ -698,13 +711,18 @@ TEST(SnapshotCache, RejectsTamperedFrames)
     EXPECT_FALSE(cache.load("group", 7, &rejected).has_value());
     EXPECT_TRUE(rejected);
 
-    // A frame of another body encoding (format version 1 predates the
-    // field-list encoding) is rejected, so the group re-warms.
-    corrupt = pristine;
-    corrupt[4] = char(sim::kSnapshotFormatVersion - 1);
-    rewrite(corrupt);
-    EXPECT_FALSE(cache.load("group", 7, &rejected).has_value());
-    EXPECT_TRUE(rejected);
+    // A frame of another body encoding is rejected, so the group
+    // re-warms: version 1 predates the field-list encoding, version 2
+    // still carried the LSQ line indexes.
+    for (std::uint32_t version = 1; version < sim::kSnapshotFormatVersion;
+         version++) {
+        corrupt = pristine;
+        corrupt[4] = char(version);
+        rewrite(corrupt);
+        EXPECT_FALSE(cache.load("group", 7, &rejected).has_value())
+            << "format version " << version;
+        EXPECT_TRUE(rejected) << "format version " << version;
+    }
 
     // A file written under a different epoch (old binary's cache) is
     // rejected by the current epoch and vice versa.
@@ -839,6 +857,62 @@ TEST(Interrupt, SignalHandlerUnlinksAndExitsWithSignalCode)
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 128 + SIGINT);
     EXPECT_FALSE(fs::exists(victim));
+}
+
+TEST(Runner, SnapshotPastTheQueueCapacitiesReWarms)
+{
+    // A well-framed snapshot whose front end holds more entries than
+    // the restoring pipeline's 4 x fetchWidth decodes, but does not fit:
+    // the runner must count it as a reject and re-warm, with the same
+    // result as the clean run.
+    TempDir tmp("snapfit");
+    const std::vector<Job> jobs = {
+        {"bfs", SystemMode::AccelSpec, 16, 1, 1, 3000}};
+    runner::RunnerOptions opts;
+    opts.jobs = 1;
+    opts.snapshotCacheDir = tmp.path();
+
+    runner::Runner first(opts);
+    const std::string clean =
+        runner::resultToJson(first.runAll(jobs)[0].result).dump();
+    ASSERT_EQ(first.forkStats().warmups.load(), 1u);
+
+    // Rewrite the stored frame's body, keeping its key and input hash.
+    std::vector<fs::path> files;
+    for (const auto &entry : fs::directory_iterator(tmp.path()))
+        files.push_back(entry.path());
+    ASSERT_EQ(files.size(), 1u);
+    std::ifstream in(files[0], std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string frame = buf.str();
+    binio::Reader reader(frame);
+    char magic[4];
+    reader.raw(magic, 4);
+    reader.u32();
+    reader.str();
+    const std::string key = reader.str();
+    const std::uint64_t input_hash = reader.u64();
+    reader.u64();
+    const std::string body = reader.str();
+    ASSERT_TRUE(reader.ok());
+
+    workloads::Workload wl = workloads::makeWorkload("bfs", 1);
+    auto input = sim::SimInput::make(wl.program, wl.initialMemory);
+    sim::Snapshot snap;
+    ASSERT_TRUE(sim::deserializeSnapshot(body, input, snap));
+    while (snap.cpu.frontEnd.size() <= 4 * ooo::OooParams{}.fetchWidth)
+        snap.cpu.frontEnd.emplace_back();
+    std::string oversized;
+    sim::serializeSnapshot(snap, oversized);
+    runner::SnapshotCache(tmp.path()).store(key, input_hash, oversized);
+
+    runner::Runner second(opts);
+    const std::string rewarmed =
+        runner::resultToJson(second.runAll(jobs)[0].result).dump();
+    EXPECT_EQ(second.forkStats().snapshotRejects.load(), 1u);
+    EXPECT_EQ(second.forkStats().warmups.load(), 1u);
+    EXPECT_EQ(rewarmed, clean);
 }
 
 TEST(Runner, ForkGroupSnapshotKeyIgnoresJobListOrder)

@@ -341,6 +341,29 @@ TEST(SnapshotIo, CorruptBytesFallBackCleanly)
     });
     rejects("RAS depth past the stack",
             [](auto &cpu) { cpu.bpred.rasTop = cpu.bpred.ras.size() + 1; });
+    rejects("store buffer past its 16 entries", [](auto &cpu) {
+        while (cpu.storeBuffer.size() <= cpu.storeBufferEntries)
+            cpu.storeBuffer.push_back({});
+    });
+    // Fabric rollback copies are a key-ordered ring: unlike a std::map,
+    // its decoder does not sort, so out-of-order keys must not pass.
+    {
+        auto with_keys = [&](SeqNum first, SeqNum second) {
+            sim::Snapshot crafted = snap;
+            auto &fab = crafted.controller->fabrics.at(0);
+            const fabric::FabricPipeState pipe = fab;
+            fab.snapshots.clear();
+            fab.snapshots.push_back({first, pipe});
+            fab.snapshots.push_back({second, pipe});
+            std::string body;
+            sim::serializeSnapshot(crafted, body);
+            sim::Snapshot out;
+            return sim::deserializeSnapshot(body, input, out);
+        };
+        EXPECT_TRUE(with_keys(3, 5));
+        EXPECT_FALSE(with_keys(5, 3)) << "descending rollback keys";
+        EXPECT_FALSE(with_keys(5, 5)) << "duplicate rollback keys";
+    }
     // A cached fabric config whose live-in is past the register file
     // (the host renames through the config's registers).
     {
@@ -395,12 +418,53 @@ TEST(SnapshotIo, CorruptBytesFallBackCleanly)
         s.cpu.physReadyCycle.push_back(0);
         s.cpu.regConsumers.emplace_back();
     });
+    // Queue occupancy past the restoring configuration's capacities.
+    misfits("ROB past robEntries", [&](auto &s) {
+        while (s.cpu.rob.size() <= cfg.ooo.robEntries) {
+            ooo::DynInst d = s.cpu.rob.back();
+            d.seq++;
+            s.cpu.rob.push_back(d);
+        }
+    });
+    misfits("load queue past lqEntries", [&](auto &s) {
+        while (s.cpu.loadQueue.size() <= cfg.ooo.lqEntries)
+            s.cpu.loadQueue.push_back(s.cpu.rob.back().seq);
+    });
+    misfits("store queue past sqEntries", [&](auto &s) {
+        while (s.cpu.storeQueue.size() <= cfg.ooo.sqEntries)
+            s.cpu.storeQueue.push_back(s.cpu.rob.back().seq);
+    });
+    misfits("front end past 4 x fetchWidth", [&](auto &s) {
+        while (s.cpu.frontEnd.size() <= 4 * cfg.ooo.fetchWidth)
+            s.cpu.frontEnd.emplace_back();
+    });
     misfits("T-Cache entry dropped",
             [](auto &s) { s.controller->tcache.entries.pop_back(); });
     misfits("config cache entry dropped",
             [](auto &s) { s.controller->configCache.entries.pop_back(); });
     misfits("controller missing",
             [](auto &s) { s.controller.reset(); });
+}
+
+// Every offload the controller records at fetch is retired by a commit
+// or a squash, including offloads a squash clears from the front end
+// before they reach rename; none may linger in the controller's state
+// (and in every snapshot taken after it).
+TEST(Snapshot, NoPendingOffloadOutlivesTheRun)
+{
+    const sim::SystemConfig cfg =
+        sim::SystemConfig::make(sim::SystemMode::AccelSpec);
+    for (const auto &workload : workloads::allWorkloadNames()) {
+        sim::Simulation simulation(cfg, inputFor(workload));
+        while (!simulation.done())
+            simulation.tick();
+        sim::Snapshot snap;
+        simulation.snapshot(snap);
+        ASSERT_TRUE(snap.controller);
+        EXPECT_TRUE(snap.controller->pending.empty())
+            << workload << ": " << snap.controller->pending.size()
+            << " offloads never committed or squashed";
+    }
 }
 
 TEST(Snapshot, SampledFidelityIsDeterministicAndMarked)

@@ -33,6 +33,17 @@ namespace fs = std::filesystem;
 namespace
 {
 
+/** Runner options with @p jobs workers and result cache @p cache_dir
+ *  (empty: no cache); everything else at its default. */
+runner::RunnerOptions
+runnerOptions(unsigned jobs, std::string cache_dir = {})
+{
+    runner::RunnerOptions options;
+    options.jobs = jobs;
+    options.cacheDir = std::move(cache_dir);
+    return options;
+}
+
 /** Fresh unique directory under the system temp dir, removed on exit. */
 class TempDir
 {
@@ -182,8 +193,9 @@ TEST(TraceRunner, AttachedSinkDoesNotPerturbResults)
         EXPECT_EQ(runner::resultToJson(plain).dump(2),
                   runner::resultToJson(traced).dump(2))
             << "tracing perturbed " << job.key();
-        if (trace::compiledIn())
+        if (trace::compiledIn()) {
             EXPECT_GT(sink.eventCount(), 0u);
+        }
     }
 }
 
@@ -257,12 +269,12 @@ TEST(TraceRunner, WorkerCountDoesNotChangeTraceBytes)
 
     {
         ScopedEnv dir("DYNASPAM_TRACE_DIR", serial_dir.path().c_str());
-        runner::Runner r(runner::RunnerOptions{1, ""});
+        runner::Runner r(runnerOptions(1));
         r.runAll(smallSweep());
     }
     {
         ScopedEnv dir("DYNASPAM_TRACE_DIR", parallel_dir.path().c_str());
-        runner::Runner r(runner::RunnerOptions{8, ""});
+        runner::Runner r(runnerOptions(8));
         r.runAll(smallSweep());
     }
 
