@@ -100,7 +100,8 @@ usage(const char *argv0)
         "           --scale N            (default 1)\n"
         "           --cycles A:B         only events in cycles [A, B]\n"
         "           --out FILE           (default trace.json)\n"
-        "  serve  run the HTTP/JSON simulation service (see\n"
+        "  serve  run the HTTP/JSON simulation service: the coordinator\n"
+        "         below with --jobs in-process workers (see\n"
         "         EXPERIMENTS.md \"Serving\"); drains gracefully on\n"
         "         SIGTERM/SIGINT\n"
         "           --port N             TCP port (default 8080; 0 = any)\n"
@@ -112,8 +113,6 @@ usage(const char *argv0)
         "(default 120000)\n"
         "           --warmup-insts N     default warmup for job specs\n"
         "                                that set none (default 0)\n"
-        "           --cluster            delegate to `coordinator` "
-        "(below)\n"
         "  coordinator\n"
         "         run the cluster front end: epoll HTTP server that\n"
         "         shards sweeps across connected workers (see\n"
@@ -122,7 +121,7 @@ usage(const char *argv0)
         "           --worker-port N      worker wire port (default 9090)\n"
         "           --bind ADDR          bind address (default 127.0.0.1)\n"
         "           --workers N          shard slots (default 4)\n"
-        "           --queue-capacity N   outstanding-job bound -> 429 "
+        "           --queue-capacity N   queued-job bound -> 429 "
         "(default 256)\n"
         "           --timeout-ms N       per-request deadline "
         "(default 120000)\n"
@@ -718,18 +717,11 @@ cmdServe(Args &args)
     serve::ServerOptions opts;
     opts.cacheDir = ".dynaspam-cache";
     bool use_cache = true;
-    bool clusterMode = false;
     unsigned cache_max_mb = 0;
-    std::string clusterToken = envClusterToken();
-    unsigned memoCapacity = 0;
 
     std::string flag;
     while (args.next(flag)) {
-        if (flag == "--cluster-token")
-            clusterToken = args.value(flag);
-        else if (flag == "--coordinator-memo")
-            memoCapacity = args.uvalue(flag);
-        else if (flag == "--port")
+        if (flag == "--port")
             opts.port = args.uvalue(flag);
         else if (flag == "--bind")
             opts.bindAddress = args.value(flag);
@@ -752,22 +744,8 @@ cmdServe(Args &args)
                 std::uint64_t(args.uvalue(flag)) * 1024 * 1024;
         else if (flag == "--warmup-insts")
             opts.defaultWarmupInsts = args.uvalue(flag);
-        else if (flag == "--cluster")
-            clusterMode = true;
         else
             fatal("unknown option ", flag);
-    }
-    if (clusterMode) {
-        // serve --cluster == the coordinator with serve's knobs.
-        cluster::CoordinatorOptions copts;
-        copts.httpPort = opts.port;
-        copts.bindAddress = opts.bindAddress;
-        copts.queueCapacity = opts.queueCapacity;
-        copts.requestTimeoutMs = opts.requestTimeoutMs;
-        copts.clusterToken = clusterToken;
-        copts.memoCapacity = memoCapacity;
-        cluster::Coordinator coordinator(std::move(copts));
-        return coordinator.serveForever();
     }
     if (!use_cache)
         opts.cacheDir.clear();

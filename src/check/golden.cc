@@ -100,9 +100,13 @@ computeValue(isa::Opcode op, std::uint64_t a, std::uint64_t b,
       case Opcode::MUL:
         return a * b;   // the two's-complement product, mod 2^64
       case Opcode::DIV:
+        // Division by -1 is negation mod 2^64: INT64_MIN / -1 stays
+        // INT64_MIN (RISC-V), where the C++ division would be UB.
+        if (sgn(b) == -1)
+            return 0 - a;
         return sgn(b) == 0 ? 0 : uns(sgn(a) / sgn(b));
       case Opcode::REM:
-        return sgn(b) == 0 ? 0 : uns(sgn(a) % sgn(b));
+        return sgn(b) == 0 || sgn(b) == -1 ? 0 : uns(sgn(a) % sgn(b));
       case Opcode::FADD:
         return fpBits(fp(a) + fp(b));
       case Opcode::FSUB:

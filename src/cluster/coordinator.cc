@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -15,7 +17,7 @@
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "runner/report.hh"
-#include "serve/server.hh"
+#include "serve/spec.hh"
 
 namespace dynaspam::cluster
 {
@@ -118,13 +120,48 @@ flushBuffer(int fd, std::string &out)
     return true;
 }
 
+/** A sweep report over spliced entries, as `dynaspam sweep` writes it. */
 std::string
-toLower(std::string s)
+reportBody(const std::string &name, std::vector<json::Value> entries,
+           std::size_t hits)
 {
-    std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-        return char(std::tolower(c));
-    });
-    return s;
+    StatRegistry registry = runner::sweepRequestStats(entries.size(), hits);
+    std::ostringstream os;
+    runner::sweepReportJson(name, std::move(entries), &registry)
+        .write(os, 2);
+    os << "\n";
+    return os.str();
+}
+
+/** Each job's content hash, computed once per request. */
+std::vector<std::uint64_t>
+hashesOf(const std::vector<runner::Job> &jobs)
+{
+    std::vector<std::uint64_t> hashes;
+    hashes.reserve(jobs.size());
+    for (const runner::Job &job : jobs)
+        hashes.push_back(job.hash());
+    return hashes;
+}
+
+/** The 16-hex-digit form of a job hash (Job::hashHex). */
+std::string
+hexOf(std::uint64_t hash)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return buf;
+}
+
+serve::HttpResponse
+jsonResponse(int status, json::Object body)
+{
+    serve::HttpResponse resp;
+    resp.status = status;
+    resp.body = json::Value(std::move(body)).dump(2);
+    resp.body += '\n';
+    return resp;
 }
 
 } // namespace
@@ -140,12 +177,26 @@ Coordinator::Coordinator(CoordinatorOptions options_)
                             "HTTP requests by endpoint and status code.");
     metrics_.declareCounter("dynaspam_http_connections_total",
                             "Accepted client TCP connections.");
+    metrics_.declareGauge("dynaspam_queue_depth",
+                          "Jobs admitted but not yet handed to a worker.");
+    metrics_.declareGauge("dynaspam_jobs_inflight",
+                          "Jobs in batches workers are executing.");
+    metrics_.declareCounter("dynaspam_jobs_executed_total",
+                            "Simulations the workers completed.");
+    metrics_.declareCounter("dynaspam_jobs_cancelled_total",
+                            "Queued jobs cancelled because every request "
+                            "waiting on them failed.");
     metrics_.declareCounter("dynaspam_cache_hits_total",
                             "Jobs answered from a worker shard cache.");
     metrics_.declareCounter("dynaspam_cache_misses_total",
-                            "Jobs executed by a worker shard.");
+                            "Jobs answered without a cache hit.");
     metrics_.declareGauge("dynaspam_cache_hit_ratio",
                           "Lifetime cache hits / lookups (0 when none).");
+    metrics_.declareHistogram(
+        "dynaspam_sim_kips",
+        "Simulation speed per executed job, in kilo-instructions "
+        "committed per host second.",
+        {250, 500, 1000, 2000, 4000, 8000, 16000, 32000});
     metrics_.declareGauge("dynaspam_cluster_workers_connected",
                           "Workers currently holding a shard slot.");
     metrics_.declareGauge("dynaspam_cluster_worker_inflight",
@@ -181,6 +232,14 @@ Coordinator::~Coordinator()
 }
 
 void
+Coordinator::attachWorker(common::Fd link)
+{
+    if (started)
+        panic("Coordinator::attachWorker after start");
+    attached.push_back(std::move(link));
+}
+
+void
 Coordinator::start()
 {
     if (started)
@@ -193,17 +252,21 @@ Coordinator::start()
 
     listenHttpFd = serve::listenTcp(options.bindAddress, options.httpPort,
                                     options.acceptBacklog, httpPort_);
-    listenWorkerFd =
-        serve::listenTcp(options.bindAddress, options.workerPort,
-                         options.acceptBacklog, workerPort_);
     setNonBlocking(listenHttpFd.get());
-    setNonBlocking(listenWorkerFd.get());
+    if (options.listenWorkers) {
+        listenWorkerFd =
+            serve::listenTcp(options.bindAddress, options.workerPort,
+                             options.acceptBacklog, workerPort_);
+        setNonBlocking(listenWorkerFd.get());
+    }
 
     epollFd.reset(::epoll_create1(0));
     if (!epollFd)
         fatal("coordinator: epoll_create1: ", std::strerror(errno));
     for (int fd : {listenHttpFd.get(), listenWorkerFd.get(),
                    wakePipe.readEnd.get()}) {
+        if (fd < 0)
+            continue;
         epoll_event ev{};
         ev.events = EPOLLIN;
         ev.data.fd = fd;
@@ -232,14 +295,14 @@ Coordinator::waitUntilDrained()
         return;
     if (loopThread.joinable())
         loopThread.join();
+    int wakeFd = wakePipe.writeEnd.get();
+    gCoordinatorWakeFd.compare_exchange_strong(wakeFd, -1);
     drained = true;
 }
 
-int
-Coordinator::serveForever()
+void
+Coordinator::drainOnSignals()
 {
-    start();
-
     gCoordinatorWakeFd.store(wakePipe.writeEnd.get(),
                              std::memory_order_relaxed);
     struct sigaction sa{};
@@ -248,6 +311,13 @@ Coordinator::serveForever()
     sa.sa_flags = SA_RESTART;
     ::sigaction(SIGTERM, &sa, nullptr);
     ::sigaction(SIGINT, &sa, nullptr);
+}
+
+int
+Coordinator::serveForever()
+{
+    start();
+    drainOnSignals();
 
     if (options.verbose)
         inform("coordinator: serving HTTP on ", options.bindAddress, ":",
@@ -256,7 +326,6 @@ Coordinator::serveForever()
                options.queueCapacity, ")");
 
     waitUntilDrained();
-    gCoordinatorWakeFd.store(-1, std::memory_order_relaxed);
 
     if (options.verbose)
         inform("coordinator: drained, exiting");
@@ -272,6 +341,9 @@ Coordinator::eventLoop()
     common::ScopedRole role(loopRole);
 
     lastPingSweep = Clock::now();
+    for (common::Fd &link : attached)
+        addWorker(std::move(link));
+    attached.clear();
 
     std::vector<epoll_event> events(64);
     while (true) {
@@ -343,7 +415,10 @@ Coordinator::eventLoop()
 
         checkTimers();
 
-        if (draining && requests.empty() && exploreSessions.empty()) {
+        // A drain finishes every request, and every batch a worker
+        // already holds, before the links close.
+        if (draining && requests.empty() && exploreSessions.empty() &&
+            runningJobs == 0) {
             bool flushed = true;
             for (const auto &kv : clients)
                 if (!kv.second.out.empty())
@@ -423,19 +498,25 @@ Coordinator::acceptWorkers()
             warn("coordinator: worker accept: ", std::strerror(errno));
             return;
         }
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.fd = accepted.get();
-        if (::epoll_ctl(epollFd.get(), EPOLL_CTL_ADD, accepted.get(),
-                        &ev) != 0)
-            continue;    // `accepted` closes the socket
-        WorkerConn conn;
-        // analyze-owns: the workers map owns the fd; dropWorker() and
-        // the event-loop teardown close it.
-        conn.fd = accepted.release();
-        conn.lastPong = Clock::now();
-        workers.emplace(conn.fd, std::move(conn));
+        addWorker(std::move(accepted));
     }
+}
+
+void
+Coordinator::addWorker(common::Fd link)
+{
+    setNonBlocking(link.get());
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = link.get();
+    if (::epoll_ctl(epollFd.get(), EPOLL_CTL_ADD, link.get(), &ev) != 0)
+        return;    // `link` closes the socket
+    WorkerConn conn;
+    // analyze-owns: the workers map owns the fd; dropWorker() and the
+    // event-loop teardown close it.
+    conn.fd = link.release();
+    conn.lastPong = Clock::now();
+    workers.emplace(conn.fd, std::move(conn));
 }
 
 void
@@ -490,17 +571,17 @@ Coordinator::parseClientRequests(int fd)
                                         req, consumed)) {
           case serve::HttpParseOutcome::NeedMore:
             return;
+          // Without keep-alive, queueResponse closes the connection once
+          // flushed; `conn` may be gone when it returns.
           case serve::HttpParseOutcome::Malformed:
             queueResponse(conn,
                           errorResponse(400, "malformed HTTP request"),
                           false, "unparsed");
-            conn.closeAfterFlush = true;
             return;
           case serve::HttpParseOutcome::TooLarge:
             queueResponse(
                 conn, errorResponse(413, "request exceeds size limit"),
                 false, "unparsed");
-            conn.closeAfterFlush = true;
             return;
           case serve::HttpParseOutcome::Ok:
             conn.in.erase(0, consumed);
@@ -514,81 +595,62 @@ void
 Coordinator::handleHttpRequest(ClientConn &conn,
                                const serve::HttpRequest &req)
 {
-    // HTTP/1.1 default persistence; `Connection: close` opts out, and a
-    // draining coordinator stops granting keep-alive.
-    bool keepAlive = toLower(req.header("connection")) != "close" &&
-                     !draining;
+    // Keep-alive is opt-in (`Connection: keep-alive`), so a client that
+    // reads to EOF sees the close; a draining coordinator stops
+    // granting it.
+    const bool keepAlive = req.wantsKeepAlive() && !draining;
+    auto reply = [&](const serve::HttpResponse &resp, const char *label) {
+        queueResponse(conn, resp, keepAlive, label);
+    };
+    // /run takes query parameters; every other endpoint matches on the
+    // full target.
+    const std::string path = req.target.substr(0, req.target.find('?'));
 
     if (req.target == "/healthz") {
-        if (req.method != "GET") {
-            queueResponse(conn, errorResponse(405, "use GET"), keepAlive,
-                          "/healthz");
-            return;
-        }
-        serve::HttpResponse resp;
-        resp.body = json::Value(json::Object{{"status", "ok"}}).dump(2);
-        resp.body += '\n';
-        queueResponse(conn, resp, keepAlive, "/healthz");
-        return;
+        if (req.method != "GET")
+            return reply(errorResponse(405, "use GET"), "/healthz");
+        return reply(jsonResponse(200, json::Object{{"status", "ok"}}),
+                     "/healthz");
     }
     if (req.target == "/metrics") {
-        if (req.method != "GET") {
-            queueResponse(conn, errorResponse(405, "use GET"), keepAlive,
-                          "/metrics");
-            return;
-        }
-        queueResponse(conn, handleMetricsScrape(), keepAlive, "/metrics");
-        return;
+        if (req.method != "GET")
+            return reply(errorResponse(405, "use GET"), "/metrics");
+        return reply(handleMetricsScrape(), "/metrics");
     }
-    if (req.target == "/run") {
-        if (req.method != "POST") {
-            queueResponse(conn, errorResponse(405, "use POST"), keepAlive,
-                          "/run");
-            return;
-        }
+    if (path == "/run") {
+        if (req.method != "POST")
+            return reply(errorResponse(405, "use POST"), "/run");
         runner::Job job;
         try {
             job = serve::jobFromSpecJson(json::Value::parse(req.body));
+            serve::applyRunQuery(job, req.target);
         } catch (const FatalError &err) {
-            queueResponse(conn, errorResponse(400, err.what()), keepAlive,
-                          "/run");
-            return;
+            return reply(errorResponse(400, err.what()), "/run");
         }
-        admitRequest(conn, "/run", "run", {job}, keepAlive);
-        return;
+        if (job.warmupInsts == 0)
+            job.warmupInsts = options.defaultWarmupInsts;
+        return admitRequest(conn, "/run", "run", {job}, keepAlive);
     }
     if (req.target == "/sweep") {
-        if (req.method != "POST") {
-            queueResponse(conn, errorResponse(405, "use POST"), keepAlive,
-                          "/sweep");
-            return;
-        }
+        if (req.method != "POST")
+            return reply(errorResponse(405, "use POST"), "/sweep");
         serve::SweepRequest sweep;
         try {
             sweep = serve::parseSweepBody(req.body);
         } catch (const FatalError &err) {
-            queueResponse(conn, errorResponse(400, err.what()), keepAlive,
-                          "/sweep");
-            return;
+            return reply(errorResponse(400, err.what()), "/sweep");
         }
-        admitRequest(conn, "/sweep", sweep.name, std::move(sweep.jobs),
-                     keepAlive);
-        return;
+        for (runner::Job &job : sweep.jobs)
+            if (job.warmupInsts == 0)
+                job.warmupInsts = options.defaultWarmupInsts;
+        return admitRequest(conn, "/sweep", sweep.name,
+                            std::move(sweep.jobs), keepAlive);
     }
-    if (req.target == "/explore") {
-        handleExplore(conn, req);
-        return;
-    }
-    if (req.target.rfind("/results", 0) == 0) {
-        queueResponse(conn,
-                      errorResponse(404,
-                                    "results live in worker shard caches; "
-                                    "re-request via POST /sweep"),
-                      keepAlive, "/results");
-        return;
-    }
-    queueResponse(conn, errorResponse(404, "unknown endpoint"), keepAlive,
-                  "other");
+    if (req.target == "/explore")
+        return handleExplore(conn, req);
+    if (req.target.rfind("/results/", 0) == 0)
+        return handleResults(conn, req, keepAlive);
+    reply(errorResponse(404, "unknown endpoint"), "other");
 }
 
 void
@@ -795,40 +857,46 @@ Coordinator::handleResult(WorkerConn &conn, const Frame &frame)
         }
     }
 
-    conn.inflight.erase(batchId);
+    if (conn.lookups.erase(batchId)) {
+        handleLookupResult(batchId, std::move(rawEntries));
+        return;
+    }
+    if (conn.batchId != batchId) {
+        dropWorker(conn.fd, "result for a batch it does not hold");
+        return;
+    }
+    conn.batchId = 0;
     metrics_.set("dynaspam_cluster_worker_inflight",
-                 workerLabel(conn.slot), double(conn.inflight.size()));
+                 workerLabel(conn.slot), 0.0);
 
     auto batchIt = batches.find(batchId);
     if (batchIt == batches.end())
-        return;    // request already failed; late result, ignore
+        return;
     Batch batch = std::move(batchIt->second);
     batches.erase(batchIt);
+    runningJobs -= batch.jobs.size();
 
-    auto reqIt = requests.find(batch.requestId);
-    if (reqIt == requests.end())
-        return;    // request died (deadline/client); drop the result
-    Request &request = reqIt->second;
-    request.batchIds.erase(batch.id);
-
+    if (error.empty() && rawEntries.size() != batch.jobs.size())
+        error = "shard returned " + std::to_string(rawEntries.size()) +
+                " entries for a " + std::to_string(batch.jobs.size()) +
+                "-job batch";
     if (!error.empty()) {
         // Deterministic execution failure: retrying would reproduce it.
-        failRequest(request.id, 500, error);
+        failBatch(batch, 500, error);
+        assignPendingBatches();
         return;
     }
 
-    if (rawEntries.size() != batch.jobIndices.size()) {
-        failRequest(request.id, 500,
-                    "shard returned " +
-                        std::to_string(rawEntries.size()) +
-                        " entries for a " +
-                        std::to_string(batch.jobIndices.size()) +
-                        "-job batch");
-        return;
-    }
+    std::vector<std::uint64_t> completed;
     for (std::size_t i = 0; i < rawEntries.size(); i++) {
-        if (rawEntries[i].fromCache)
-            request.hits++;
+        RawEntry &entry = rawEntries[i];
+        if (entry.executed) {
+            metrics_.inc("dynaspam_jobs_executed_total");
+            if (entry.hostNanos > 0)
+                metrics_.observe("dynaspam_sim_kips",
+                                 double(entry.insts) * 1e6 /
+                                     double(entry.hostNanos));
+        }
         if (options.memoCapacity > 0) {
             // Memoize a twin of the fragment with from_cache flipped to
             // true: a memo-served repeat IS a cache hit, and must say
@@ -836,25 +904,75 @@ Coordinator::handleResult(WorkerConn &conn, const Frame &frame)
             // sorted, and dumpAt at the worker's indent/depth produces
             // exactly the splice-compatible form.
             try {
-                json::Value entry =
-                    json::Value::parse(rawEntries[i].fragment);
-                entry.asObject().insert_or_assign("from_cache",
-                                                  json::Value(true));
-                memoPut(
-                    request.jobs[batch.jobIndices[i]].hashHex(),
-                    entry.dumpAt(kReportIndent, kEntryFragmentDepth));
+                json::Value twin = json::Value::parse(entry.fragment);
+                twin.asObject().insert_or_assign("from_cache",
+                                                 json::Value(true));
+                memoPut(hexOf(batch.hashes[i]),
+                        twin.dumpAt(kReportIndent, kEntryFragmentDepth));
             } catch (const FatalError &) {
                 // An unparseable fragment still splices verbatim; it
                 // just never memoizes.
             }
         }
-        request.entries[batch.jobIndices[i]] =
-            json::Value(json::Raw{std::move(rawEntries[i].fragment)});
-        request.remaining--;
+
+        auto flightIt = flights.find(batch.hashes[i]);
+        if (flightIt == flights.end() ||
+            flightIt->second.batchId != batch.id)
+            continue;
+        const auto waiters = std::move(flightIt->second.waiters);
+        flights.erase(flightIt);
+        for (std::size_t w = 0; w < waiters.size(); w++) {
+            auto reqIt = requests.find(waiters[w].first);
+            if (reqIt == requests.end())
+                continue;
+            Request &request = reqIt->second;
+            request.entries[waiters[w].second] = json::Value(json::Raw{
+                w + 1 == waiters.size() ? std::move(entry.fragment)
+                                        : entry.fragment});
+            if (entry.fromCache)
+                request.hits++;
+            if (--request.remaining == 0)
+                completed.push_back(request.id);
+        }
     }
 
-    if (request.remaining == 0)
-        finishRequest(request);
+    // Hand the worker its next batch before rendering replies.
+    assignPendingBatches();
+    for (std::uint64_t id : completed) {
+        auto reqIt = requests.find(id);
+        if (reqIt != requests.end())
+            finishRequest(reqIt->second);
+    }
+}
+
+void
+Coordinator::handleLookupResult(std::uint64_t lookupId,
+                                std::vector<RawEntry> entries)
+{
+    auto lookupIt = lookups.find(lookupId);
+    if (lookupIt == lookups.end())
+        return;
+    const std::uint64_t requestId = lookupIt->second;
+    lookups.erase(lookupIt);
+    auto reqIt = requests.find(requestId);
+    if (reqIt == requests.end())
+        return;    // answered by another worker, or timed out
+    Request &request = reqIt->second;
+
+    if (!entries.empty()) {
+        // Exactly the bytes a /run of the job answers now.
+        std::vector<json::Value> found;
+        found.push_back(
+            json::Value(json::Raw{std::move(entries.front().fragment)}));
+        serve::HttpResponse resp;
+        resp.body = reportBody("run", std::move(found),
+                               entries.front().fromCache ? 1 : 0);
+        respond(request, resp);
+        closeRequest(requestId);
+        return;
+    }
+    if (--request.lookupsPending == 0)
+        failRequest(requestId, 404, "no result for hash " + request.name);
 }
 
 void
@@ -880,7 +998,8 @@ Coordinator::dropWorker(int fd, const char *why)
         return;
     WorkerConn &conn = it->second;
     const int slot = conn.slot;
-    const std::set<std::uint64_t> inflight = std::move(conn.inflight);
+    const std::uint64_t batchId = conn.batchId;
+    const std::set<std::uint64_t> owedLookups = std::move(conn.lookups);
 
     if (slot >= 0) {
         slotFd[std::size_t(slot)] = -1;
@@ -888,41 +1007,73 @@ Coordinator::dropWorker(int fd, const char *why)
                      0.0);
         if (options.verbose)
             warn("coordinator: worker slot ", slot, " dropped (", why,
-                 "), ", inflight.size(), " batches to reassign");
+                 "), ", batchId ? 1 : 0, " batches to reassign");
     }
     ::close(fd);
     workers.erase(it);
     updateWorkerGauge();
 
-    const Clock::time_point now = Clock::now();
-    for (std::uint64_t batchId : inflight) {
-        auto batchIt = batches.find(batchId);
-        if (batchIt == batches.end())
-            continue;
-        Batch &batch = batchIt->second;
-        batch.assignedFd = -1;
-        if (!requests.count(batch.requestId)) {
-            batches.erase(batchIt);
-            continue;
-        }
-        batch.attempts++;
-        metrics_.inc("dynaspam_cluster_batch_retries_total",
-                     workerLabel(slot));
-        if (batch.attempts > options.maxBatchRetries) {
-            std::ostringstream os;
-            os << "shard batch failed after " << options.maxBatchRetries
-               << " reassignments (workers keep dying)";
-            failRequest(batch.requestId, 503, os.str());
-            continue;
-        }
+    // A lookup the dead worker owed counts as "not found there".
+    for (std::uint64_t lookupId : owedLookups)
+        handleLookupResult(lookupId, {});
+
+    auto batchIt = batches.find(batchId);
+    if (batchId == 0 || batchIt == batches.end())
+        return;
+    Batch &batch = batchIt->second;
+    batch.assignedFd = -1;
+    runningJobs -= batch.jobs.size();
+    queuedJobs += batch.jobs.size();
+    batch.attempts++;
+    metrics_.inc("dynaspam_cluster_batch_retries_total", workerLabel(slot));
+    if (batch.attempts > options.maxBatchRetries) {
+        Batch dead = std::move(batch);
+        batches.erase(batchIt);
+        queuedJobs -= dead.jobs.size();
+        std::ostringstream os;
+        os << "shard batch failed after " << options.maxBatchRetries
+           << " reassignments (workers keep dying)";
+        failBatch(dead, 503, os.str());
+    } else {
         // Exponential backoff: 1x, 2x, 4x, ... the base, clamped so a
         // high attempt count can neither overflow the shift (UB at 64)
-        // nor schedule the retry past any useful horizon.
-        batch.notBefore = now + std::chrono::milliseconds(
-            retryBackoffDelayMs(options.retryBackoffMs, batch.attempts,
-                                kRetryBackoffCapMs));
+        // nor schedule the retry past any useful horizon. The next
+        // timer tick reassigns it.
+        batch.notBefore =
+            Clock::now() +
+            std::chrono::milliseconds(retryBackoffDelayMs(
+                options.retryBackoffMs, batch.attempts,
+                kRetryBackoffCapMs));
+        pruneBatch(batchId);
     }
-    assignPendingBatches();
+    updateJobGauges();
+}
+
+std::optional<serve::HttpResponse>
+Coordinator::admissionError(const std::vector<std::uint64_t> &hashes)
+{
+    // Jobs neither memoized nor in flight, once per hash: what
+    // admitting the request would queue.
+    std::set<std::uint64_t> fresh;
+    bool allMemo = true;
+    for (std::uint64_t hash : hashes) {
+        const bool memo =
+            options.memoCapacity > 0 && memoMap.count(hexOf(hash)) > 0;
+        allMemo = allMemo && memo;
+        if (!memo && !flights.count(hash))
+            fresh.insert(hash);
+    }
+    if (queuedJobs + fresh.size() > options.queueCapacity) {
+        std::ostringstream os;
+        os << "admission queue full (" << queuedJobs << " queued, "
+           << fresh.size() << " requested, capacity "
+           << options.queueCapacity << ")";
+        return errorResponse(429, os.str());
+    }
+    // Fully memo-served requests are legal with zero workers connected.
+    if (!allMemo && liveWorkerCount() == 0)
+        return errorResponse(503, "no workers connected");
+    return std::nullopt;
 }
 
 void
@@ -935,140 +1086,248 @@ Coordinator::admitRequest(ClientConn &conn, const std::string &endpoint,
                       false, endpoint);
         return;
     }
-    if (outstandingJobs + jobs.size() > options.queueCapacity) {
-        std::ostringstream os;
-        os << "admission queue full (" << outstandingJobs
-           << " outstanding, " << jobs.size() << " requested, capacity "
-           << options.queueCapacity << ")";
-        queueResponse(conn, errorResponse(429, os.str()), keep_alive,
-                      endpoint);
-        return;
-    }
-    // Memo probe: jobs whose pre-rendered entry is already in the
-    // coordinator-side memo never reach a worker. Fully memo-served
-    // requests are legal even with zero workers connected.
-    std::vector<const std::string *> memoFrags(jobs.size(), nullptr);
-    std::size_t memoServed = 0;
-    if (options.memoCapacity > 0) {
-        for (std::size_t i = 0; i < jobs.size(); i++) {
-            memoFrags[i] = memoGet(jobs[i].hashHex());
-            if (memoFrags[i])
-                memoServed++;
-        }
-    }
-    if (memoServed < jobs.size() && liveWorkerCount() == 0) {
-        queueResponse(conn, errorResponse(503, "no workers connected"),
-                      keep_alive, endpoint);
+    std::vector<std::uint64_t> hashes = hashesOf(jobs);
+    if (std::optional<serve::HttpResponse> refusal =
+            admissionError(hashes)) {
+        queueResponse(conn, *refusal, keep_alive, endpoint);
         return;
     }
 
+    Request &request =
+        openRequest(name, endpoint, std::move(jobs), std::move(hashes),
+                    Clock::now() +
+                        std::chrono::milliseconds(options.requestTimeoutMs));
+    request.clientFd = conn.fd;
+    request.keepAlive = keep_alive;
+    conn.busy = true;
+    conn.requestId = request.id;
+    // A fully memo-served request completes without any worker round
+    // trip (finishRequest needs conn.busy/requestId set above).
+    if (request.remaining == 0)
+        finishRequest(request);
+    else
+        scheduleRequest(request);
+}
+
+Coordinator::Request &
+Coordinator::openRequest(std::string name, std::string endpoint,
+                         std::vector<runner::Job> jobs,
+                         std::vector<std::uint64_t> hashes,
+                         Clock::time_point deadline)
+{
     const std::uint64_t id = nextRequestId++;
     Request &request = requests[id];
     request.id = id;
-    request.clientFd = conn.fd;
-    request.name = name;
-    request.keepAlive = keep_alive;
-    request.endpoint = endpoint;
+    request.name = std::move(name);
+    request.endpoint = std::move(endpoint);
     request.jobs = std::move(jobs);
+    request.hashes = std::move(hashes);
     request.entries.resize(request.jobs.size());
     request.remaining = request.jobs.size();
     request.start = Clock::now();
-    request.deadline =
-        request.start +
-        std::chrono::milliseconds(options.requestTimeoutMs);
+    request.deadline = deadline;
 
-    for (std::size_t i = 0; i < request.jobs.size(); i++) {
-        if (!memoFrags[i])
-            continue;
-        request.entries[i] = json::Value(json::Raw{*memoFrags[i]});
-        request.hits++;
-        request.remaining--;
-    }
-    if (memoServed > 0) {
-        memoHits += memoServed;
+    // Memo probe: jobs whose pre-rendered entry is already in the
+    // coordinator-side memo never reach a worker.
+    if (options.memoCapacity > 0) {
+        for (std::size_t i = 0; i < request.jobs.size(); i++) {
+            const std::string *frag = memoGet(hexOf(request.hashes[i]));
+            if (!frag)
+                continue;
+            request.entries[i] = json::Value(json::Raw{*frag});
+            request.hits++;
+            request.remaining--;
+            memoHits++;
+        }
         metrics_.set("dynaspam_cluster_coordinator_memo_hits",
                      double(memoHits));
-    }
-
-    // Shard: group the memo-missed job indices by FNV-1a hash-space
-    // owner slot, using the fork-group hash so every member of a fork
-    // group lands on the same worker — that worker warms the shared
-    // prefix once (or loads it from its snapshot cache) and forks all
-    // members from it. Jobs without a warmup phase keep their per-job
-    // hash, preserving the old shard-local result-cache locality.
-    std::map<unsigned, std::vector<std::size_t>> shards;
-    for (std::size_t i = 0; i < request.jobs.size(); i++)
-        if (!memoFrags[i])
-            shards[ownerSlot(runner::forkGroupHash(request.jobs[i]),
-                             options.workerSlots)]
-                .push_back(i);
-
-    for (auto &shard : shards) {
-        const std::uint64_t batchId = nextBatchId++;
-        Batch &batch = batches[batchId];
-        batch.id = batchId;
-        batch.requestId = id;
-        batch.ownerSlot = shard.first;
-        batch.jobIndices = std::move(shard.second);
-        batch.notBefore = request.start;
-        request.batchIds.insert(batchId);
-        assignBatch(batch);
     }
 
     outstandingJobs += request.jobs.size();
     metrics_.set("dynaspam_cluster_outstanding_jobs",
                  double(outstandingJobs));
+    return request;
+}
+
+void
+Coordinator::scheduleRequest(Request &request)
+{
+    // Single-flight: attach to the flight of a job already queued or
+    // running; queue the rest in one new batch per owner slot. The
+    // owner is chosen by fork-group hash, so every member of a fork
+    // group lands on the same worker, which warms the shared prefix
+    // once (or loads it from its snapshot cache) and forks all members
+    // from it.
+    std::map<unsigned, std::uint64_t> newBatchOf;
+    for (std::size_t i = 0; i < request.jobs.size(); i++) {
+        if (!request.entries[i].isNull())
+            continue;
+        const runner::Job &job = request.jobs[i];
+        const std::uint64_t hash = request.hashes[i];
+        auto [flightIt, fresh] = flights.try_emplace(hash);
+        if (fresh) {
+            // forkGroupHash is the job hash for a job without warmup.
+            const unsigned slot = ownerSlot(
+                job.warmupInsts ? runner::forkGroupHash(job) : hash,
+                options.workerSlots);
+            auto [batchOf, newBatch] = newBatchOf.try_emplace(slot, 0);
+            if (newBatch) {
+                batchOf->second = nextBatchId++;
+                Batch &batch = batches[batchOf->second];
+                batch.id = batchOf->second;
+                batch.ownerSlot = slot;
+                batch.notBefore = request.start;
+            }
+            Batch &batch = batches[batchOf->second];
+            batch.jobs.push_back(job);
+            batch.hashes.push_back(hash);
+            flightIt->second.batchId = batch.id;
+            queuedJobs++;
+        }
+        flightIt->second.waiters.emplace_back(request.id, i);
+    }
+    assignPendingBatches();
+}
+
+void
+Coordinator::handleResults(ClientConn &conn, const serve::HttpRequest &req,
+                           bool keep_alive)
+{
+    auto reply = [&](const serve::HttpResponse &resp) {
+        queueResponse(conn, resp, keep_alive, "/results");
+    };
+    if (req.method != "GET")
+        return reply(errorResponse(405, "use GET"));
+    const std::string hash = req.target.substr(std::strlen("/results/"));
+    if (!serve::isJobHash(hash))
+        return reply(errorResponse(
+            404, "not a job hash (16 lowercase hex characters)"));
+    if (flights.count(std::strtoull(hash.c_str(), nullptr, 16)))
+        return reply(jsonResponse(
+            202, json::Object{{"hash", hash}, {"status", "pending"}}));
+    // Ask every worker (each memoizes every entry it served): the
+    // job's owner is keyed by its fork group, which a bare hash does
+    // not name.
+    std::vector<int> asked;
+    for (int fd : slotFd)
+        if (fd >= 0)
+            asked.push_back(fd);
+    if (asked.empty())
+        return reply(errorResponse(404, "no result for hash " + hash));
+
+    Request &request = openRequest(
+        hash, "/results", {}, {},
+        Clock::now() + std::chrono::milliseconds(options.requestTimeoutMs));
+    const std::uint64_t id = request.id;
+    request.clientFd = conn.fd;
+    request.keepAlive = keep_alive;
+    request.lookupsPending = asked.size();
     conn.busy = true;
     conn.requestId = id;
-    // A fully memo-served request completes without any worker round
-    // trip (finishRequest needs conn.busy/requestId set above).
-    if (request.remaining == 0)
-        finishRequest(request);
+    for (int fd : asked) {
+        auto workerIt = workers.find(fd);
+        if (!requests.count(id) || workerIt == workers.end())
+            break;
+        const std::uint64_t lookupId = nextBatchId++;
+        lookups[lookupId] = id;
+        workerIt->second.lookups.insert(lookupId);
+        json::Object payload;
+        payload.emplace("id", lookupId);
+        payload.emplace("hash", hash);
+        queueFrame(workerIt->second, FrameType::Lookup,
+                   json::Value(std::move(payload)));
+    }
 }
 
 void
 Coordinator::assignPendingBatches()
 {
     const Clock::time_point now = Clock::now();
-    std::vector<std::uint64_t> orphaned;
-    for (auto &kv : batches) {
-        Batch &batch = kv.second;
-        if (batch.assignedFd >= 0 || batch.notBefore > now)
+    std::vector<std::uint64_t> ready;
+    for (const auto &kv : batches)
+        if (kv.second.assignedFd < 0 && kv.second.notBefore <= now)
+            ready.push_back(kv.first);
+
+    // Oldest first, one batch per idle worker.
+    for (std::uint64_t id : ready) {
+        auto it = batches.find(id);
+        if (it == batches.end() || it->second.assignedFd >= 0)
             continue;
-        if (!requests.count(batch.requestId)) {
-            orphaned.push_back(kv.first);
+        Batch &batch = it->second;
+        const int fd = liveWorkerForSlot(batch.ownerSlot);
+        if (fd < 0)
+            continue;    // stays queued until a worker joins
+        WorkerConn &conn = workers.at(fd);
+        if (conn.batchId != 0)
             continue;
-        }
-        assignBatch(batch);
+
+        json::Array jobSpecs;
+        for (const runner::Job &job : batch.jobs)
+            jobSpecs.push_back(runner::jobToJson(job));
+        json::Object payload;
+        payload.emplace("id", batch.id);
+        payload.emplace("jobs", std::move(jobSpecs));
+
+        batch.assignedFd = fd;
+        conn.batchId = batch.id;
+        queuedJobs -= batch.jobs.size();
+        runningJobs += batch.jobs.size();
+        metrics_.set("dynaspam_cluster_worker_inflight",
+                     workerLabel(conn.slot), 1.0);
+        // A failed write drops the worker, which requeues the batch.
+        queueFrame(conn, FrameType::Batch, json::Value(std::move(payload)));
     }
-    for (std::uint64_t id : orphaned)
-        batches.erase(id);
+    updateJobGauges();
 }
 
-bool
-Coordinator::assignBatch(Batch &batch)
+void
+Coordinator::pruneBatch(std::uint64_t batchId)
 {
-    const int fd = liveWorkerForSlot(batch.ownerSlot);
-    if (fd < 0)
-        return false;    // stays pending until a worker joins
-    auto reqIt = requests.find(batch.requestId);
-    if (reqIt == requests.end())
-        return false;
+    auto batchIt = batches.find(batchId);
+    if (batchIt == batches.end() || batchIt->second.assignedFd >= 0)
+        return;
+    Batch &batch = batchIt->second;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < batch.jobs.size(); i++) {
+        auto flightIt = flights.find(batch.hashes[i]);
+        const bool mine = flightIt != flights.end() &&
+                          flightIt->second.batchId == batchId;
+        if (mine && !flightIt->second.waiters.empty()) {
+            if (kept != i) {
+                batch.jobs[kept] = std::move(batch.jobs[i]);
+                batch.hashes[kept] = std::move(batch.hashes[i]);
+            }
+            kept++;
+            continue;
+        }
+        if (mine)
+            flights.erase(flightIt);
+        queuedJobs--;
+        metrics_.inc("dynaspam_jobs_cancelled_total");
+    }
+    batch.jobs.resize(kept);
+    batch.hashes.resize(kept);
+    if (kept == 0)
+        batches.erase(batchIt);
+    updateJobGauges();
+}
 
-    json::Array jobSpecs;
-    for (std::size_t index : batch.jobIndices)
-        jobSpecs.push_back(runner::jobToJson(reqIt->second.jobs[index]));
-    json::Object payload;
-    payload.emplace("id", batch.id);
-    payload.emplace("jobs", std::move(jobSpecs));
-
-    WorkerConn &conn = workers.at(fd);
-    batch.assignedFd = fd;
-    conn.inflight.insert(batch.id);
-    metrics_.set("dynaspam_cluster_worker_inflight",
-                 workerLabel(conn.slot), double(conn.inflight.size()));
-    queueFrame(conn, FrameType::Batch, json::Value(std::move(payload)));
-    return true;
+void
+Coordinator::failBatch(const Batch &batch, int status,
+                       const std::string &message)
+{
+    std::set<std::uint64_t> waiting;
+    for (std::uint64_t hash : batch.hashes) {
+        auto flightIt = flights.find(hash);
+        if (flightIt == flights.end() ||
+            flightIt->second.batchId != batch.id)
+            continue;
+        for (const auto &waiter : flightIt->second.waiters)
+            waiting.insert(waiter.first);
+        flights.erase(flightIt);
+    }
+    for (std::uint64_t requestId : waiting)
+        failRequest(requestId, status, message);
 }
 
 void
@@ -1079,14 +1338,30 @@ Coordinator::failRequest(std::uint64_t requestId, int status,
     if (it == requests.end())
         return;
     Request &request = it->second;
-    dropRequestBatches(request);
+
+    // Leave every flight this request waits on; a queued job nobody
+    // else wants is cancelled before the reply goes out.
+    std::set<std::uint64_t> orphaned;
+    for (std::size_t i = 0; i < request.jobs.size(); i++) {
+        if (!request.entries[i].isNull())
+            continue;
+        auto flightIt = flights.find(request.hashes[i]);
+        if (flightIt == flights.end())
+            continue;
+        auto &waiters = flightIt->second.waiters;
+        std::erase_if(waiters, [&](const auto &waiter) {
+            return waiter.first == requestId;
+        });
+        if (waiters.empty())
+            orphaned.insert(flightIt->second.batchId);
+    }
+    for (std::uint64_t batchId : orphaned)
+        pruneBatch(batchId);
+
     const std::uint64_t exploreId = request.exploreSessionId;
     if (exploreId == 0)
         respond(request, errorResponse(status, message));
-    outstandingJobs -= request.jobs.size();
-    metrics_.set("dynaspam_cluster_outstanding_jobs",
-                 double(outstandingJobs));
-    requests.erase(it);
+    closeRequest(requestId);
     // An internal explore batch fails its whole search: the stream
     // already carries partial generations, so the failure surfaces as
     // a terminal error line instead of an HTTP status.
@@ -1104,14 +1379,6 @@ Coordinator::finishRequest(Request &request)
         return;
     }
 
-    StatRegistry registry = runner::sweepRequestStats(
-        request.jobs.size(), request.hits);
-    std::ostringstream os;
-    runner::sweepReportJson(request.name, std::move(request.entries),
-                            &registry)
-        .write(os, 2);
-    os << "\n";
-
     metrics_.inc("dynaspam_cache_hits_total", double(request.hits));
     metrics_.inc("dynaspam_cache_misses_total",
                  double(request.jobs.size() - request.hits));
@@ -1121,13 +1388,10 @@ Coordinator::finishRequest(Request &request)
                          .count());
 
     serve::HttpResponse resp;
-    resp.body = os.str();
+    resp.body = reportBody(request.name, std::move(request.entries),
+                           request.hits);
     respond(request, resp);
-
-    outstandingJobs -= request.jobs.size();
-    metrics_.set("dynaspam_cluster_outstanding_jobs",
-                 double(outstandingJobs));
-    requests.erase(request.id);
+    closeRequest(request.id);
 }
 
 void
@@ -1150,72 +1414,56 @@ Coordinator::respond(const Request &request,
 }
 
 void
+Coordinator::closeRequest(std::uint64_t requestId)
+{
+    auto it = requests.find(requestId);
+    if (it == requests.end())
+        return;
+    outstandingJobs -= it->second.jobs.size();
+    metrics_.set("dynaspam_cluster_outstanding_jobs",
+                 double(outstandingJobs));
+    requests.erase(it);
+}
+
+void
 Coordinator::handleExplore(ClientConn &conn,
                            const serve::HttpRequest &req)
 {
     // The stream never keeps the connection alive: the chunk
     // terminator plus close is how it ends.
-    if (req.method != "POST") {
-        queueResponse(conn, errorResponse(405, "use POST"), false,
-                      "/explore");
-        return;
-    }
+    auto reply = [&](const serve::HttpResponse &resp) {
+        queueResponse(conn, resp, false, "/explore");
+    };
+    if (req.method != "POST")
+        return reply(errorResponse(405, "use POST"));
     explore::Space space;
     try {
         space = explore::Space::fromJson(json::Value::parse(req.body));
     } catch (const FatalError &err) {
-        queueResponse(conn, errorResponse(400, err.what()), false,
-                      "/explore");
-        return;
+        return reply(errorResponse(400, err.what()));
     }
-    if (draining) {
-        queueResponse(conn, errorResponse(503, "coordinator is draining"),
-                      false, "/explore");
-        return;
-    }
+    if (draining)
+        return reply(errorResponse(503, "coordinator is draining"));
+
+    auto engine = std::make_unique<explore::Engine>(std::move(space));
+    // Admission is decided on the first engine batch, before any
+    // stream bytes: a full queue or an empty worker ring turns into
+    // the same plain 429/503 a /sweep would get.
+    if (std::optional<serve::HttpResponse> refusal =
+            admissionError(hashesOf(engine->nextBatch())))
+        return reply(*refusal);
 
     const std::uint64_t id = nextExploreId++;
     ExploreSession &session = exploreSessions[id];
     session.id = id;
     session.clientFd = conn.fd;
-    session.engine = std::make_unique<explore::Engine>(std::move(space));
+    session.engine = std::move(engine);
     session.deadline =
         Clock::now() +
         std::chrono::milliseconds(options.requestTimeoutMs);
 
-    // Admission is decided on the first engine batch, before any
-    // stream bytes: a full queue or an empty worker ring turns into
-    // the same plain 429/503 a /sweep would get.
-    const std::vector<runner::Job> &first = session.engine->nextBatch();
-    if (!first.empty()) {
-        if (outstandingJobs + first.size() > options.queueCapacity) {
-            std::ostringstream os;
-            os << "admission queue full (" << outstandingJobs
-               << " outstanding, " << first.size()
-               << " requested, capacity " << options.queueCapacity << ")";
-            exploreSessions.erase(id);
-            queueResponse(conn, errorResponse(429, os.str()), false,
-                          "/explore");
-            return;
-        }
-        std::size_t memoServed = 0;
-        if (options.memoCapacity > 0) {
-            for (const runner::Job &job : first)
-                if (memoMap.count(job.hashHex()))
-                    memoServed++;
-        }
-        if (memoServed < first.size() && liveWorkerCount() == 0) {
-            exploreSessions.erase(id);
-            queueResponse(conn,
-                          errorResponse(503, "no workers connected"),
-                          false, "/explore");
-            return;
-        }
-    }
-
     // Count the request as a 200 now; later failures surface as a
-    // terminal error line inside the stream, exactly like the
-    // single-process daemon.
+    // terminal error line inside the stream.
     metrics_.inc("dynaspam_http_requests_total",
                  requestLabels("/explore", 200));
     conn.busy = true;
@@ -1253,65 +1501,15 @@ Coordinator::driveExplore(std::uint64_t sessionId)
 bool
 Coordinator::dispatchExploreBatch(ExploreSession &session)
 {
-    const std::vector<runner::Job> &batch = session.engine->nextBatch();
-
-    const std::uint64_t id = nextRequestId++;
-    Request &request = requests[id];
-    request.id = id;
-    request.clientFd = -1;    // results flow over the stream, not HTTP
-    request.name = "explore";
-    request.endpoint = "/explore";
-    request.exploreSessionId = session.id;
-    request.jobs = batch;
-    request.entries.resize(request.jobs.size());
-    request.remaining = request.jobs.size();
-    request.start = Clock::now();
-    request.deadline = session.deadline;
-
     // Internal batches bypass the draining/queue-capacity rejections:
     // the search was admitted as a whole when its stream began, and a
-    // draining coordinator still finishes running streams.
-    std::size_t memoServed = 0;
-    if (options.memoCapacity > 0) {
-        for (std::size_t i = 0; i < request.jobs.size(); i++) {
-            const std::string *frag =
-                memoGet(request.jobs[i].hashHex());
-            if (!frag)
-                continue;
-            request.entries[i] = json::Value(json::Raw{*frag});
-            request.hits++;
-            request.remaining--;
-            memoServed++;
-        }
-    }
-    if (memoServed > 0) {
-        memoHits += memoServed;
-        metrics_.set("dynaspam_cluster_coordinator_memo_hits",
-                     double(memoHits));
-    }
-
-    std::map<unsigned, std::vector<std::size_t>> shards;
-    for (std::size_t i = 0; i < request.jobs.size(); i++)
-        if (request.entries[i].isNull())
-            shards[ownerSlot(runner::forkGroupHash(request.jobs[i]),
-                             options.workerSlots)]
-                .push_back(i);
-    for (auto &shard : shards) {
-        const std::uint64_t batchId = nextBatchId++;
-        Batch &b = batches[batchId];
-        b.id = batchId;
-        b.requestId = id;
-        b.ownerSlot = shard.first;
-        b.jobIndices = std::move(shard.second);
-        b.notBefore = request.start;
-        request.batchIds.insert(batchId);
-        assignBatch(b);
-    }
-
-    outstandingJobs += request.jobs.size();
-    metrics_.set("dynaspam_cluster_outstanding_jobs",
-                 double(outstandingJobs));
-    session.requestId = id;
+    // draining coordinator still finishes running streams. Results
+    // flow over the stream, not HTTP.
+    const std::vector<runner::Job> &jobs = session.engine->nextBatch();
+    Request &request = openRequest("explore", "/explore", jobs,
+                                   hashesOf(jobs), session.deadline);
+    request.exploreSessionId = session.id;
+    session.requestId = request.id;
 
     if (request.remaining == 0) {
         // Fully memo-served: complete inline; driveExplore's loop
@@ -1319,6 +1517,7 @@ Coordinator::dispatchExploreBatch(ExploreSession &session)
         finishExploreBatch(request);
         return true;
     }
+    scheduleRequest(request);
     return false;
 }
 
@@ -1329,7 +1528,7 @@ Coordinator::finishExploreBatch(Request &request)
 
     // Decode the pre-rendered entries back into outcomes for the
     // engine. This is the one place the coordinator parses fragments —
-    // the price of reusing the /sweep shard machinery unchanged.
+    // the price of reusing the /sweep machinery unchanged.
     std::vector<runner::JobOutcome> outcomes;
     std::string decodeError;
     for (const json::Value &entry : request.entries) {
@@ -1346,11 +1545,7 @@ Coordinator::finishExploreBatch(Request &request)
             break;
         }
     }
-
-    outstandingJobs -= request.jobs.size();
-    metrics_.set("dynaspam_cluster_outstanding_jobs",
-                 double(outstandingJobs));
-    requests.erase(request.id);    // `request` is dead past this line
+    closeRequest(request.id);    // `request` is dead past this line
 
     auto it = exploreSessions.find(sessionId);
     if (it == exploreSessions.end())
@@ -1467,27 +1662,6 @@ Coordinator::memoPut(const std::string &hash, std::string fragment)
 }
 
 void
-Coordinator::dropRequestBatches(const Request &request)
-{
-    for (std::uint64_t batchId : request.batchIds) {
-        auto it = batches.find(batchId);
-        if (it == batches.end())
-            continue;
-        const int fd = it->second.assignedFd;
-        if (fd >= 0) {
-            auto workerIt = workers.find(fd);
-            if (workerIt != workers.end()) {
-                workerIt->second.inflight.erase(batchId);
-                metrics_.set("dynaspam_cluster_worker_inflight",
-                             workerLabel(workerIt->second.slot),
-                             double(workerIt->second.inflight.size()));
-            }
-        }
-        batches.erase(it);
-    }
-}
-
-void
 Coordinator::sendPings()
 {
     // Collect first: queueFrame can drop a worker, mutating the map.
@@ -1519,7 +1693,7 @@ Coordinator::checkTimers()
 
         std::vector<int> stale;
         for (const auto &kv : workers)
-            if (kv.second.slot >= 0 &&
+            if (options.pingTimeoutMs && kv.second.slot >= 0 &&
                 now - kv.second.lastPong >
                     std::chrono::milliseconds(options.pingTimeoutMs))
                 stale.push_back(kv.first);
@@ -1533,8 +1707,8 @@ Coordinator::checkTimers()
             expired.push_back(kv.first);
     for (std::uint64_t id : expired)
         failRequest(id, 503,
-                    "request deadline exceeded before all shards "
-                    "reported");
+                    "request deadline exceeded before every job "
+                    "finished");
 
     assignPendingBatches();
 }
@@ -1569,14 +1743,20 @@ Coordinator::updateWorkerGauge()
                  double(liveWorkerCount()));
 }
 
+void
+Coordinator::updateJobGauges()
+{
+    metrics_.set("dynaspam_queue_depth", double(queuedJobs));
+    metrics_.set("dynaspam_jobs_inflight", double(runningJobs));
+}
+
 serve::HttpResponse
 Coordinator::handleMetricsScrape()
 {
-    double hits = metrics_.value("dynaspam_cache_hits_total");
-    double misses = metrics_.value("dynaspam_cache_misses_total");
-    double lookups = hits + misses;
-    metrics_.set("dynaspam_cache_hit_ratio",
-                 lookups > 0 ? hits / lookups : 0.0);
+    const double hits = metrics_.value("dynaspam_cache_hits_total");
+    const double total =
+        hits + metrics_.value("dynaspam_cache_misses_total");
+    metrics_.set("dynaspam_cache_hit_ratio", total > 0 ? hits / total : 0.0);
 
     serve::HttpResponse resp;
     resp.contentType = "text/plain; version=0.0.4; charset=utf-8";
@@ -1587,10 +1767,8 @@ Coordinator::handleMetricsScrape()
 serve::HttpResponse
 Coordinator::errorResponse(int status, const std::string &message)
 {
-    serve::HttpResponse resp;
-    resp.status = status;
-    resp.body = json::Value(json::Object{{"error", message}}).dump(2);
-    resp.body += '\n';
+    serve::HttpResponse resp = jsonResponse(
+        status, json::Object{{"error", message}});
     if (status == 429)
         resp.extraHeaders.emplace_back("Retry-After", "2");
     return resp;

@@ -1,52 +1,65 @@
 /**
  * @file
- * Cluster coordinator: epoll front end + shard fan-out for sweeps.
+ * Cluster coordinator: the one HTTP front end, plus shard fan-out.
  *
- * The coordinator is the client-facing half of the distributed sweep
- * fabric (`dynaspam coordinator`, or `dynaspam serve --cluster`). Where
- * the single-process daemon spends a thread per connection, the
- * coordinator runs ONE event-loop thread multiplexing every socket —
- * the HTTP listener, the worker listener, every client and every worker
- * link — through epoll with non-blocking fds and per-connection
- * in/out buffers. HTTP/1.1 connections are persistent by default
- * (close with `Connection: close`), so a load generator pays the TCP
- * handshake once, not per request.
+ * The coordinator is the client-facing half of the sweep service. It
+ * backs both `dynaspam coordinator` (workers dial its worker port) and
+ * `dynaspam serve` (serve::Server attaches in-process workers over
+ * socketpairs). ONE event-loop thread multiplexes every socket — the
+ * HTTP listener, the worker listener, every client and every worker
+ * link — through epoll with non-blocking fds and per-connection in/out
+ * buffers. A connection serves one request and closes unless the client
+ * asks for `Connection: keep-alive`.
  *
- * Sharding: each job's FNV-1a content hash — the same hash that keys
- * the on-disk ResultCache — is mapped to one of `--workers` hash-space
- * partitions (cluster::ownerSlot). A sweep request is split into one
- * Batch per owner slot and fanned out over the length-prefixed wire
- * protocol (cluster/wire.hh). Because the partition depends only on the
- * configured slot count, a given job always lands on the same slot, so
- * repeat jobs hit that worker's local memo/disk cache.
+ * Endpoints:
+ *   POST /run             one job spec -> single-job report; the query
+ *                         "?fidelity=...&warmup_insts=N" overrides the
+ *                         body
+ *   POST /sweep           {"sweep": "fig8", ...} or {"jobs": [...]}
+ *   POST /explore         design-space search -> chunked NDJSON stream
+ *   GET  /results/<hash>  a finished job's report, asked of the workers
+ *                         (202 while the job is in flight)
+ *   GET  /healthz         liveness probe (readiness is the
+ *                         dynaspam_cluster_workers_connected gauge)
+ *   GET  /metrics         Prometheus text format
+ *
+ * Sharding: each job's fork-group hash is mapped to one of
+ * `workerSlots` hash-space partitions (cluster::ownerSlot), so a job
+ * always lands on the same slot and repeat jobs hit that worker's memo
+ * and disk cache. New jobs of a request are grouped into one Batch per
+ * owner slot.
+ *
+ * Scheduling: single-flight per job hash — a job already queued or
+ * running is never dispatched twice; every request that wants it waits
+ * on the same Flight and gets the same entry bytes. Batches wait in a
+ * coordinator-side queue and each worker is handed one batch at a time,
+ * so a request that passes its deadline (503) cancels its jobs that
+ * have not started. A started job finishes and stays retrievable
+ * through GET /results/<hash>. Admission: when the jobs admitted but
+ * not yet handed to a worker would exceed queueCapacity, new requests
+ * get 429 + Retry-After.
  *
  * Merging: workers return fully serialized sweep-report entries; the
  * coordinator splices them back into job order and wraps them with
- * runner::sweepReportJson + sweepRequestStats, producing a combined
- * report byte-identical to what a single process (CLI `dynaspam sweep`
- * or the non-cluster daemon) would emit for the same cache state.
+ * runner::sweepReportJson + sweepRequestStats, producing a report
+ * byte-identical to what `dynaspam sweep` emits for the same cache
+ * state.
  *
  * Failure handling, so a worker crash never drops an accepted request:
  *  - membership is health-checked (Ping/Pong every pingIntervalMs; a
  *    worker silent past pingTimeoutMs is declared dead);
- *  - a dead worker's inflight batches are reassigned to the next live
- *    slot upward with bounded exponential backoff (retryBackoffMs <<
- *    attempts), up to maxBatchRetries, then the request fails 503;
+ *  - a dead worker's batch is requeued for the next live slot upward
+ *    with bounded exponential backoff (retryBackoffMs << attempts), up
+ *    to maxBatchRetries, then its requests fail 503;
  *  - deterministic job failures (worker Result carries "error") fail
- *    the request with 500 and are NOT retried — a deterministic
- *    simulator would only reproduce the error;
- *  - requests carry a wall-clock deadline (requestTimeoutMs -> 503).
- *
- * Admission is bounded like the single-process daemon: when the jobs
- * belonging to unfinished requests would exceed queueCapacity, new
- * requests get 429 + Retry-After.
+ *    the requests with 500 and are NOT retried — a deterministic
+ *    simulator would only reproduce the error.
  *
  * POST /explore runs the design-space-exploration engine
  * (explore::Engine) inside the event loop: every engine batch becomes
- * an internal request fanned out through the same shard/batch/retry
- * machinery, and the engine's NDJSON lines stream back to the client as
- * a chunked response while the search progresses. Worker death, batch
- * reassignment, deadlines and drain all behave exactly as for /sweep.
+ * an internal request scheduled like a /sweep, and the engine's NDJSON
+ * lines stream back to the client as a chunked response while the
+ * search progresses.
  *
  * Hardening: with --cluster-token set, worker enrollment requires the
  * shared secret in the Hello frame; mismatches are dropped before
@@ -63,6 +76,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -89,9 +103,12 @@ struct CoordinatorOptions
     unsigned httpPort = 8080;
     /** Worker-facing wire-protocol port; 0 binds an ephemeral port. */
     unsigned workerPort = 9090;
+    /** Open the worker port. Off when every worker is attached in
+     *  process (attachWorker), as `dynaspam serve` does. */
+    bool listenWorkers = true;
     /** Hash-space partitions == maximum cluster size. */
     unsigned workerSlots = 4;
-    /** Max jobs belonging to unfinished requests before 429. */
+    /** Max jobs admitted but not yet handed to a worker before 429. */
     std::size_t queueCapacity = 256;
     /** Per-request wall-clock budget before a 503. */
     std::uint64_t requestTimeoutMs = 120000;
@@ -105,7 +122,9 @@ struct CoordinatorOptions
     std::uint64_t retryBackoffMs = 100;
     /** Worker health-check period. */
     std::uint64_t pingIntervalMs = 2000;
-    /** Silence past this declares a worker dead. */
+    /** Silence past this declares a worker dead. 0 never does: an
+     *  in-process link reports its loss as EOF, and a worker answers
+     *  pings only between jobs. */
     std::uint64_t pingTimeoutMs = 10000;
     /**
      * Shared enrollment secret. When non-empty, a worker Hello must
@@ -122,6 +141,11 @@ struct CoordinatorOptions
      * for deployments that run workers cache-less on purpose).
      */
     std::size_t memoCapacity = 0;
+    /**
+     * warmup_insts given to every /run and /sweep job that did not set
+     * one (`dynaspam serve --warmup-insts N`). 0 = no default.
+     */
+    std::uint64_t defaultWarmupInsts = 0;
     /** Log a line per lifecycle event (suppressed in tests). */
     bool verbose = true;
 };
@@ -139,7 +163,14 @@ class Coordinator
     Coordinator &operator=(const Coordinator &) = delete;
 
     /**
-     * Bind both listeners and spawn the event-loop thread.
+     * Adopt @p link, a connected stream whose other end runs
+     * Worker::serveConnection, as a worker link. Call before start();
+     * the worker enrolls with the usual Hello/Welcome handshake.
+     */
+    void attachWorker(common::Fd link);
+
+    /**
+     * Bind the listeners and spawn the event-loop thread.
      * @throws FatalError when a socket cannot be bound
      */
     void start();
@@ -155,8 +186,16 @@ class Coordinator
      */
     void beginDrain();
 
-    /** Block until the event loop has exited and everything is closed. */
+    /**
+     * Block until the event loop has exited and everything is closed:
+     * every request answered, every batch a worker holds finished, and
+     * each worker told Goodbye.
+     */
     void waitUntilDrained();
+
+    /** Route SIGTERM/SIGINT to beginDrain() until the drain completes.
+     *  Call after start(). */
+    void drainOnSignals();
 
     /**
      * start(), install SIGTERM/SIGINT drain handlers, and block until
@@ -175,7 +214,7 @@ class Coordinator
         int fd = -1;
         std::string in;
         std::string out;
-        /** A /run or /sweep is pending; stop parsing further requests. */
+        /** A request is pending; stop parsing further requests. */
         bool busy = false;
         /** Close once the out buffer drains. */
         bool closeAfterFlush = false;
@@ -196,36 +235,54 @@ class Coordinator
         /** Close once the out buffer drains (rejected Hello). */
         bool closeAfterFlush = false;
         Clock::time_point lastPong;
-        /** Batch ids currently assigned to this worker. */
-        std::set<std::uint64_t> inflight;
+        /** The batch this worker is executing (0 = idle). */
+        std::uint64_t batchId = 0;
+        /** Lookup ids awaiting this worker's answer. */
+        std::set<std::uint64_t> lookups;
     };
 
-    /** One accepted /run or /sweep awaiting its shard results. */
+    /**
+     * One accepted request awaiting its entries: a client /run or
+     * /sweep, an internal explore batch, or a /results lookup.
+     */
     struct Request
     {
         std::uint64_t id = 0;
         int clientFd = -1;
         std::string name;
-        bool keepAlive = true;
+        bool keepAlive = false;
         std::string endpoint;        ///< metrics label ("/run"/"/sweep")
         std::vector<runner::Job> jobs;
+        std::vector<std::uint64_t> hashes;    ///< jobs[i].hash()
         /** results[] entries, filled in job order as shards report. */
         std::vector<json::Value> entries;
         std::size_t remaining = 0;   ///< entries still missing
         std::size_t hits = 0;        ///< from_cache entries seen
-        std::set<std::uint64_t> batchIds;
         Clock::time_point start;
         Clock::time_point deadline;
         /** Owning explore session for an internal batch (0 = client
          *  request: the response goes back over HTTP). */
         std::uint64_t exploreSessionId = 0;
+        /** /results lookups still unanswered (lookup requests only). */
+        std::size_t lookupsPending = 0;
+    };
+
+    /**
+     * One job queued or running, shared by every request that wants it
+     * (single-flight). Keyed by job hash in `flights`.
+     */
+    struct Flight
+    {
+        /** The batch carrying the job. */
+        std::uint64_t batchId = 0;
+        /** (request id, job index) pairs the entry is delivered to. */
+        std::vector<std::pair<std::uint64_t, std::size_t>> waiters;
     };
 
     /**
      * One POST /explore search in flight. The engine is driven from the
-     * event loop: each engine batch becomes an internal Request (fanned
-     * out through the same shard/batch/retry machinery as a /sweep),
-     * and every completed batch feeds the engine, whose emitted NDJSON
+     * event loop: each engine batch becomes an internal Request, and
+     * every completed batch feeds the engine, whose emitted NDJSON
      * lines stream to the client as chunks.
      */
     struct ExploreSession
@@ -238,17 +295,17 @@ class Coordinator
         Clock::time_point deadline;
     };
 
-    /** One per-shard job batch (possibly awaiting reassignment). */
+    /** Distinct jobs for one owner slot, queued or handed to a worker. */
     struct Batch
     {
         std::uint64_t id = 0;
-        std::uint64_t requestId = 0;
         unsigned ownerSlot = 0;
-        std::vector<std::size_t> jobIndices;
+        std::vector<runner::Job> jobs;
+        std::vector<std::uint64_t> hashes;    ///< jobs[i].hash()
         unsigned attempts = 0;
-        /** Worker fd it is assigned to; -1 = awaiting assignment. */
+        /** Worker fd it is assigned to; -1 = queued. */
         int assignedFd = -1;
-        /** Earliest reassignment time (retry backoff). */
+        /** Earliest (re)assignment time (retry backoff). */
         Clock::time_point notBefore;
     };
 
@@ -256,6 +313,7 @@ class Coordinator
     void updateEvents(int fd, bool wantWrite) REQUIRES(loopRole);
     void acceptClients() REQUIRES(loopRole);
     void acceptWorkers() REQUIRES(loopRole);
+    void addWorker(common::Fd link) REQUIRES(loopRole);
 
     void onClientReadable(int fd) REQUIRES(loopRole);
     void onClientWritable(int fd) REQUIRES(loopRole);
@@ -274,16 +332,37 @@ class Coordinator
         REQUIRES(loopRole);
     void handleResult(WorkerConn &conn, const Frame &frame)
         REQUIRES(loopRole);
+    /** Deliver a Lookup answer (0 or 1 entries) to its request. */
+    void handleLookupResult(std::uint64_t lookupId,
+                            std::vector<RawEntry> entries)
+        REQUIRES(loopRole);
     void queueFrame(WorkerConn &conn, FrameType type,
                     const json::Value &payload) REQUIRES(loopRole);
-    /** Declare a worker dead and reassign its inflight batches. */
+    /** Declare a worker dead and requeue its batch. */
     void dropWorker(int fd, const char *why) REQUIRES(loopRole);
 
-    /** Admit a /run or /sweep: shard, batch, fan out. */
+    /** Admit a client /run or /sweep: single-flight, queue, dispatch. */
     void admitRequest(ClientConn &conn, const std::string &endpoint,
                       const std::string &name,
                       std::vector<runner::Job> jobs, bool keep_alive)
         REQUIRES(loopRole);
+    /** Create a Request for @p jobs and fill what the memo holds.
+     *  @return the request (its entries may already be complete) */
+    Request &openRequest(std::string name, std::string endpoint,
+                         std::vector<runner::Job> jobs,
+                         std::vector<std::uint64_t> hashes,
+                         Clock::time_point deadline) REQUIRES(loopRole);
+    /** Attach @p request's missing entries to flights, queueing batches
+     *  for jobs not yet in flight, then dispatch. */
+    void scheduleRequest(Request &request) REQUIRES(loopRole);
+    /** @return the 429 (queue full) or 503 (no workers) admitting jobs
+     *  with @p hashes earns, or nullopt to admit */
+    std::optional<serve::HttpResponse>
+    admissionError(const std::vector<std::uint64_t> &hashes)
+        REQUIRES(loopRole);
+    /** GET /results/<hash>: 202 in flight, else ask every worker. */
+    void handleResults(ClientConn &conn, const serve::HttpRequest &req,
+                       bool keep_alive) REQUIRES(loopRole);
 
     /** Validate + admit a POST /explore and stream its header. */
     void handleExplore(ClientConn &conn, const serve::HttpRequest &req)
@@ -314,23 +393,32 @@ class Coordinator
     /** Memo insert/refresh (evicts LRU past memoCapacity). */
     void memoPut(const std::string &hash, std::string fragment)
         REQUIRES(loopRole);
-    /** Try to assign every unassigned batch whose backoff has expired. */
+    /** Hand queued batches to idle workers, oldest first. */
     void assignPendingBatches() REQUIRES(loopRole);
-    bool assignBatch(Batch &batch) REQUIRES(loopRole);
-    /** Fail @p requestId with an error response; drops its batches. */
+    /** Fail @p requestId with an error response; cancels its jobs
+     *  that no other request waits on and no worker has started. */
     void failRequest(std::uint64_t requestId, int status,
                      const std::string &message) REQUIRES(loopRole);
+    /** Fail every request waiting on a job of @p batch (already out
+     *  of `batches`) and drop its flights. */
+    void failBatch(const Batch &batch, int status,
+                   const std::string &message) REQUIRES(loopRole);
+    /** Drop the jobs of queued @p batch nobody waits on any more;
+     *  erases the batch once it is empty. */
+    void pruneBatch(std::uint64_t batchId) REQUIRES(loopRole);
     void finishRequest(Request &request) REQUIRES(loopRole);
     /** Respond to the request's client (if still connected). */
     void respond(const Request &request, const serve::HttpResponse &resp)
         REQUIRES(loopRole);
-    void dropRequestBatches(const Request &request) REQUIRES(loopRole);
+    /** Erase a finished or failed request and its accounting. */
+    void closeRequest(std::uint64_t requestId) REQUIRES(loopRole);
 
     void sendPings() REQUIRES(loopRole);
     void checkTimers() REQUIRES(loopRole);
     std::size_t liveWorkerCount() const REQUIRES(loopRole);
     int liveWorkerForSlot(unsigned slot) const REQUIRES(loopRole);
     void updateWorkerGauge() REQUIRES(loopRole);
+    void updateJobGauges() REQUIRES(loopRole);
 
     serve::HttpResponse handleMetricsScrape() REQUIRES(loopRole);
     static serve::HttpResponse errorResponse(int status,
@@ -342,11 +430,13 @@ class Coordinator
     // Lifecycle plumbing. The listen sockets and the epoll instance are
     // created by start() before the loop thread exists and closed by the
     // loop thread (drain) or the destructor (after join) — never
-    // concurrently.
+    // concurrently. `attached` is filled before start() and emptied by
+    // the loop thread as it begins.
     common::Fd epollFd;
     common::Fd listenHttpFd;
     common::Fd listenWorkerFd;
     common::Pipe wakePipe;
+    std::vector<common::Fd> attached;
     unsigned httpPort_ = 0;
     unsigned workerPort_ = 0;
     std::thread loopThread;
@@ -370,7 +460,11 @@ class Coordinator
     std::vector<int> slotFd GUARDED_BY(loopRole);
 
     std::map<std::uint64_t, Request> requests GUARDED_BY(loopRole);
+    /** Batches by id: ascending id is queue order. */
     std::map<std::uint64_t, Batch> batches GUARDED_BY(loopRole);
+    std::map<std::uint64_t, Flight> flights GUARDED_BY(loopRole);
+    /** Lookup id -> the /results request it answers. */
+    std::map<std::uint64_t, std::uint64_t> lookups GUARDED_BY(loopRole);
     std::map<std::uint64_t, ExploreSession> exploreSessions
         GUARDED_BY(loopRole);
     std::uint64_t nextRequestId GUARDED_BY(loopRole) = 1;
@@ -387,8 +481,12 @@ class Coordinator
     std::uint64_t memoHits GUARDED_BY(loopRole) = 0;
     std::uint64_t pingTick GUARDED_BY(loopRole) = 0;
     Clock::time_point lastPingSweep GUARDED_BY(loopRole);
-    /** Jobs belonging to unfinished requests (admission gauge). */
+    /** Jobs belonging to unfinished requests. */
     std::size_t outstandingJobs GUARDED_BY(loopRole) = 0;
+    /** Distinct jobs in queued batches (the admission bound). */
+    std::size_t queuedJobs GUARDED_BY(loopRole) = 0;
+    /** Distinct jobs in batches workers hold. */
+    std::size_t runningJobs GUARDED_BY(loopRole) = 0;
 };
 
 } // namespace dynaspam::cluster

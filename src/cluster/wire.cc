@@ -11,11 +11,18 @@ namespace
 
 constexpr std::size_t kHeaderSize = 8;
 
+/** Fixed bytes before each ResultRaw fragment: flags, nanos, insts,
+ *  length. */
+constexpr std::size_t kEntryHeaderSize = 1 + 8 + 8 + 4;
+
+constexpr unsigned char kFlagFromCache = 1;
+constexpr unsigned char kFlagExecuted = 2;
+
 bool
 validType(std::uint8_t type)
 {
     return type >= std::uint8_t(FrameType::Hello) &&
-           type <= std::uint8_t(FrameType::Goodbye);
+           type <= std::uint8_t(FrameType::Lookup);
 }
 
 } // namespace
@@ -73,7 +80,7 @@ encodeResultRaw(std::uint64_t id, const std::vector<RawEntry> &entries)
 {
     std::size_t total = 12;
     for (const RawEntry &entry : entries)
-        total += 5 + entry.fragment.size();
+        total += kEntryHeaderSize + entry.fragment.size();
 
     std::string out;
     out.reserve(total);
@@ -83,7 +90,12 @@ encodeResultRaw(std::uint64_t id, const std::vector<RawEntry> &entries)
     bits::storeLE32(std::uint32_t(entries.size()), scratch);
     out.append(reinterpret_cast<const char *>(scratch), 4);
     for (const RawEntry &entry : entries) {
-        out.push_back(entry.fromCache ? '\1' : '\0');
+        out.push_back(char((entry.fromCache ? kFlagFromCache : 0) |
+                           (entry.executed ? kFlagExecuted : 0)));
+        bits::storeLE64(entry.hostNanos, scratch);
+        out.append(reinterpret_cast<const char *>(scratch), 8);
+        bits::storeLE64(entry.insts, scratch);
+        out.append(reinterpret_cast<const char *>(scratch), 8);
         bits::storeLE32(std::uint32_t(entry.fragment.size()), scratch);
         out.append(reinterpret_cast<const char *>(scratch), 4);
         out.append(entry.fragment);
@@ -101,21 +113,27 @@ decodeResultRaw(const std::string &payload, std::uint64_t &id,
         return false;
     id = bits::loadLE64(raw);
     const std::uint32_t count = bits::loadLE32(raw + 8);
-    // Each entry needs at least its 5-byte header: an implausible count
+    // Each entry needs at least its fixed header: an implausible count
     // is rejected before the reserve below can balloon memory.
-    if (std::size_t(count) * 5 > payload.size())
+    if (std::size_t(count) * kEntryHeaderSize > payload.size())
         return false;
 
     entries.clear();
     entries.reserve(count);
     std::size_t pos = 12;
     for (std::uint32_t i = 0; i < count; i++) {
-        if (payload.size() - pos < 5)
+        if (payload.size() - pos < kEntryHeaderSize)
+            return false;
+        const unsigned char flags = raw[pos];
+        if (flags & ~(kFlagFromCache | kFlagExecuted))
             return false;
         RawEntry entry;
-        entry.fromCache = raw[pos] != '\0';
-        const std::uint32_t len = bits::loadLE32(raw + pos + 1);
-        pos += 5;
+        entry.fromCache = flags & kFlagFromCache;
+        entry.executed = flags & kFlagExecuted;
+        entry.hostNanos = bits::loadLE64(raw + pos + 1);
+        entry.insts = bits::loadLE64(raw + pos + 9);
+        const std::uint32_t len = bits::loadLE32(raw + pos + 17);
+        pos += kEntryHeaderSize;
         if (payload.size() - pos < len)
             return false;
         entry.fragment = payload.substr(pos, len);

@@ -32,6 +32,10 @@
  *     coordinator -> worker   Ping   {"tick": n}
  *     worker -> coordinator   Pong   {"tick": n, "queued": q,
  *                                     "evictions": e}
+ *     coordinator -> worker   Lookup {"id": n, "hash": "<16 hex>"}
+ *     worker -> coordinator   ResultRaw with 0 entries (unknown hash)
+ *                             or 1 (the memo or cache entry)
+ *     coordinator -> worker   Goodbye {}
  *
  * Successful results use the binary ResultRaw payload (encodeResultRaw)
  * carrying each sweep-report entry as a pre-serialized fragment
@@ -59,7 +63,7 @@ namespace dynaspam::cluster
 {
 
 /** Wire protocol version; Hello/Welcome reject mismatches. */
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 
 /** Hard cap on one frame's payload (a full sweep report fits easily). */
 inline constexpr std::size_t kMaxFramePayload = 64u << 20;
@@ -77,6 +81,9 @@ enum class FrameType : std::uint8_t
     Goodbye,     ///< coordinator -> worker: orderly shutdown, don't
                  ///< reconnect (a plain EOF means "coordinator lost,
                  ///< retry with backoff")
+    Lookup,      ///< coordinator -> worker: a finished job by hash
+                 ///< (GET /results/<hash>); answered at once, between
+                 ///< job executions, like a Ping
 };
 
 /** One decoded frame. */
@@ -123,6 +130,11 @@ struct RawEntry
     bool fromCache = false;
     /** sweepEntryJson bytes, pre-rendered at the report's depth. */
     std::string fragment;
+    /** The worker simulated the job for this batch (not a replay from
+     *  its memo or cache); the two counts below are then set. */
+    bool executed = false;
+    std::uint64_t hostNanos = 0;    ///< host time the simulation took
+    std::uint64_t insts = 0;        ///< instructions it committed
 };
 
 /**
@@ -130,7 +142,9 @@ struct RawEntry
  *
  *     byte 0..7   batch id, little-endian u64
  *     byte 8..11  entry count, little-endian u32
- *     per entry:  u8 from_cache, LE u32 length, fragment bytes
+ *     per entry:  u8 flags (bit 0 from_cache, bit 1 executed),
+ *                 LE u64 host nanoseconds, LE u64 committed insts,
+ *                 LE u32 length, fragment bytes
  *
  * @return the payload only; pass it through encodeFrame(ResultRaw).
  */

@@ -296,6 +296,10 @@ Worker::drainFrames(std::string &inBuf, int fd)
           case FrameType::Batch:
             pendingBatches.push_back(std::move(frame));
             break;
+          case FrameType::Lookup:
+            if (!answerLookup(frame, fd))
+                return false;
+            break;
           case FrameType::Goodbye:
             // Orderly coordinator shutdown: exit cleanly, never
             // reconnect.
@@ -330,7 +334,8 @@ Worker::handleBatch(const Frame &frame, int fd, std::string &inBuf)
         // Tier 1+2: memo and disk cache, recording the misses.
         std::vector<std::size_t> missIdx;
         for (std::size_t i = 0; i < jobs.size(); i++) {
-            if (std::optional<RawEntry> hit = cachedEntry(jobs[i]))
+            if (std::optional<RawEntry> hit =
+                    cachedEntry(jobs[i].hashHex(), &jobs[i]))
                 entries[i] = std::move(*hit);
             else
                 missIdx.push_back(i);
@@ -374,6 +379,7 @@ Worker::handleBatch(const Frame &frame, int fd, std::string &inBuf)
         std::vector<runner::JobOutcome> outcomes(jobs.size());
         for (const std::vector<std::size_t> &unit : units) {
             const std::size_t front = unit.front();
+            const auto begin = std::chrono::steady_clock::now();
             if (unit.size() == 1 &&
                 (customExecute || jobs[front].warmupInsts == 0)) {
                 sim::RunResult result = options.executeFn(jobs[front]);
@@ -388,10 +394,21 @@ Worker::handleBatch(const Frame &frame, int fd, std::string &inBuf)
                     snapCache.enabled() ? &snapCache : nullptr,
                     &groupStats);
             }
+            // A fork group's members share its host time evenly.
+            const std::uint64_t nanos =
+                std::uint64_t(std::chrono::duration_cast<
+                                  std::chrono::nanoseconds>(
+                                  std::chrono::steady_clock::now() - begin)
+                                  .count()) /
+                unit.size();
             if (cache.enabled())
                 maybeGcCache();
-            for (std::size_t i : unit)
+            for (std::size_t i : unit) {
                 entries[i] = freshEntry(jobs[i], outcomes[i]);
+                entries[i].executed = true;
+                entries[i].hostNanos = nanos;
+                entries[i].insts = outcomes[i].result.instsTotal;
+            }
 
             // Opportunistically answer pings that arrived while the
             // unit simulated, so a busy worker is not declared dead.
@@ -434,25 +451,28 @@ renderEntry(const runner::JobOutcome &outcome)
 } // namespace
 
 std::optional<RawEntry>
-Worker::cachedEntry(const runner::Job &job)
+Worker::cachedEntry(const std::string &hash, const runner::Job *job)
 {
-    const std::string hash = job.hashHex();
     auto it = memoMap.find(hash);
     if (it != memoMap.end()) {
         // Touch: move to the front of the LRU order.
         memoOrder.splice(memoOrder.begin(), memoOrder, it->second);
-        return RawEntry{true, it->second->second};
+        return RawEntry{cache.enabled(), it->second->second};
     }
 
-    if (cache.enabled()) {
-        if (auto cached = cache.load(job)) {
-            std::string fragment = renderEntry(
-                runner::JobOutcome{job, std::move(*cached), true});
-            memoPut(hash, fragment);
-            return RawEntry{true, std::move(fragment)};
-        }
+    std::optional<runner::JobOutcome> hit;
+    if (job) {
+        if (auto cached = cache.load(*job))
+            hit = runner::JobOutcome{*job, std::move(*cached), true};
+    } else if (auto cached = cache.loadByHash(hash)) {
+        hit = runner::JobOutcome{std::move(cached->first),
+                                 std::move(cached->second), true};
     }
-    return std::nullopt;
+    if (!hit)
+        return std::nullopt;
+    std::string fragment = renderEntry(*hit);
+    memoPut(hash, fragment);
+    return RawEntry{true, std::move(fragment)};
 }
 
 RawEntry
@@ -461,12 +481,36 @@ Worker::freshEntry(const runner::Job &job,
 {
     RawEntry entry{false, renderEntry(runner::JobOutcome{
                               job, outcome.result, false})};
-    // Future requests for this hash are cache hits: memo the
-    // from_cache=true twin, matching what a disk-cache probe would
-    // render next time.
+    // Memo the entry as a repeat will report it: from_cache=true when
+    // a result cache would now hold it (the bytes a disk hit renders),
+    // otherwise the fresh bytes, so a cache-less repeat sweep is
+    // byte-identical to its first run.
     memoPut(job.hashHex(),
-            renderEntry(runner::JobOutcome{job, outcome.result, true}));
+            cache.enabled() ? renderEntry(runner::JobOutcome{
+                                  job, outcome.result, true})
+                            : entry.fragment);
     return entry;
+}
+
+bool
+Worker::answerLookup(const Frame &frame, int fd)
+{
+    std::uint64_t id = 0;
+    std::string hash;
+    try {
+        json::Value lookup = json::Value::parse(frame.payload);
+        id = lookup.at("id").asUint();
+        hash = lookup.at("hash").asString();
+    } catch (const FatalError &) {
+        warn("worker: malformed Lookup payload");
+        return false;
+    }
+    std::vector<RawEntry> found;
+    if (std::optional<RawEntry> hit = cachedEntry(hash, nullptr))
+        found.push_back(std::move(*hit));
+    const std::string wire =
+        encodeFrame(FrameType::ResultRaw, encodeResultRaw(id, found));
+    return serve::sendAll(fd, wire.data(), wire.size());
 }
 
 void

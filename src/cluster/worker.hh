@@ -14,10 +14,13 @@
  *  - the on-disk ResultCache (per-worker --cache-dir), same format and
  *    epoch as the CLI's, surviving worker restarts;
  *  - an in-memory LRU memo of *pre-rendered* sweep-report entry bytes
- *    (from_cache=true form, serialized once at the report's splice
- *    depth), so a repeat job is answered with a string copy — no cache
- *    file read, no JSON parse, and no re-serialization, on the worker
- *    or on the coordinator (which splices the fragment via json::Raw).
+ *    (serialized once at the report's splice depth), so a repeat job is
+ *    answered with a string copy — no cache file read, no JSON parse,
+ *    and no re-serialization, on the worker or on the coordinator
+ *    (which splices the fragment via json::Raw). A memo replay reports
+ *    from_cache=true only when the worker has a result cache: it then
+ *    matches a disk hit, and without one a repeat sweep is
+ *    byte-identical to the first.
  * Because the coordinator routes each job hash to a fixed owner slot,
  * hits concentrate in the owning worker's memo and never require
  * cross-worker traffic.
@@ -159,8 +162,15 @@ class Worker
     /** One dial attempt. @return the connected fd, or -1 (retryable
      *  failure; terminal errors also set `terminal`). */
     int dialCoordinator();
-    /** Memo -> disk-cache probe. @return the entry on a hit. */
-    std::optional<RawEntry> cachedEntry(const runner::Job &job);
+    /**
+     * Memo -> disk-cache probe for @p hash (by @p job when known, else
+     * by hash alone, as a Lookup asks). @return the entry on a hit; a
+     * memo hit has from_cache set when this worker has a result cache
+     */
+    std::optional<RawEntry> cachedEntry(const std::string &hash,
+                                        const runner::Job *job);
+    /** Answer a Lookup frame from the memo or the disk cache. */
+    bool answerLookup(const Frame &frame, int fd);
     /** Render a freshly executed outcome and memo its cached twin. */
     RawEntry freshEntry(const runner::Job &job,
                         const runner::JobOutcome &outcome);
@@ -192,7 +202,7 @@ class Worker
 
     std::deque<Frame> pendingBatches;
 
-    /** LRU memo: hash -> pre-rendered entry fragment (from_cache=true
+    /** LRU memo: hash -> pre-rendered entry fragment (in its replay
      *  form, serialized at the report's splice depth). */
     std::list<std::pair<std::string, std::string>> memoOrder;
     std::map<std::string,

@@ -22,8 +22,9 @@
  * file whose writer just renamed it away (ENOENT, ignored) — never a
  * truncated visible cache entry.
  *
- * The serve daemon does NOT use this handler: it installs its own
- * self-pipe drain handler (serve::Server) so in-flight requests finish
+ * The serve daemon and the coordinator do NOT use this handler: they
+ * install their own self-pipe drain handler
+ * (cluster::Coordinator::drainOnSignals) so in-flight requests finish
  * before exit.
  */
 

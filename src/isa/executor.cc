@@ -139,13 +139,21 @@ Executor::run(const Program &program, mem::FunctionalMemory &memory,
             w(r(inst.src1) * r(inst.src2));
             break;
           case Opcode::DIV: {
+            // RISC-V semantics for the one overflowing case:
+            // INT64_MIN / -1 = INT64_MIN (a C++ division would be UB).
+            std::int64_t num = asSigned(r(inst.src1));
             std::int64_t den = asSigned(r(inst.src2));
-            w(den == 0 ? 0 : asUnsigned(asSigned(r(inst.src1)) / den));
+            w(den == 0                  ? 0
+              : den == -1               ? 0 - asUnsigned(num)
+                                        : asUnsigned(num / den));
             break;
           }
           case Opcode::REM: {
+            // INT64_MIN % -1 = 0, as in RISC-V.
             std::int64_t den = asSigned(r(inst.src2));
-            w(den == 0 ? 0 : asUnsigned(asSigned(r(inst.src1)) % den));
+            w(den == 0 || den == -1
+                  ? 0
+                  : asUnsigned(asSigned(r(inst.src1)) % den));
             break;
           }
           case Opcode::FADD:

@@ -1,18 +1,10 @@
 #include "runner/result_cache.hh"
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <thread>
-#include <vector>
 
-#include <unistd.h>
-
-#include "common/interrupt.hh"
 #include "common/logging.hh"
+#include "runner/file_store.hh"
 #include "runner/report.hh"
 
 namespace dynaspam::runner
@@ -20,34 +12,8 @@ namespace dynaspam::runner
 
 namespace fs = std::filesystem;
 
-namespace
-{
-
-/** Read a whole file; empty optional when unopenable. */
-std::optional<std::string>
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-/**
- * Refresh @p path's mtime so gc()'s LRU ordering sees this entry as
- * recently used. Best-effort: a failure (e.g. a read-only cache mount)
- * just weakens eviction ordering, never correctness.
- */
-void
-touch(const std::string &path)
-{
-    std::error_code ec;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-}
-
-} // namespace
+using file_store::slurp;
+using file_store::touch;
 
 ResultCache::ResultCache(std::string dir_, std::string epoch_)
     : dir(std::move(dir_)), epoch(std::move(epoch_))
@@ -60,62 +26,49 @@ ResultCache::pathFor(const Job &job) const
     return (fs::path(dir) / (job.hashHex() + ".json")).string();
 }
 
-std::optional<sim::RunResult>
-ResultCache::load(const Job &job) const
-{
-    if (!enabled())
-        return std::nullopt;
-
-    const std::string path = pathFor(job);
-    std::optional<std::string> text = slurp(path);
-    if (!text)
-        return std::nullopt;
-
-    try {
-        json::Value doc = json::Value::parse(*text);
-        if (doc.at("epoch").asString() != epoch)
-            return std::nullopt;
-        if (doc.at("key").asString() != job.key())
-            return std::nullopt;
-        sim::RunResult result = resultFromJson(doc.at("result"));
-        touch(path);
-        return result;
-    } catch (const FatalError &) {
-        // Corrupt or stale-schema entry: fall back to simulation.
-        return std::nullopt;
-    }
-}
-
 std::optional<std::pair<Job, sim::RunResult>>
-ResultCache::loadByHash(const std::string &hash_hex) const
+ResultCache::readEntry(const std::string &path, const Job *expected) const
 {
-    if (!enabled())
-        return std::nullopt;
-    // The stem is attacker-adjacent (it arrives in a URL); only a
-    // 16-char lowercase hex string may touch the filesystem.
-    if (hash_hex.size() != 16 ||
-        hash_hex.find_first_not_of("0123456789abcdef") != std::string::npos)
-        return std::nullopt;
-
-    const std::string path =
-        (fs::path(dir) / (hash_hex + ".json")).string();
     std::optional<std::string> text = slurp(path);
     if (!text)
         return std::nullopt;
-
     try {
         json::Value doc = json::Value::parse(*text);
         if (doc.at("epoch").asString() != epoch)
             return std::nullopt;
-        Job job = jobFromJson(doc.at("job"));
+        Job job = expected ? *expected : jobFromJson(doc.at("job"));
         if (doc.at("key").asString() != job.key())
             return std::nullopt;
         sim::RunResult result = resultFromJson(doc.at("result"));
         touch(path);
         return std::make_pair(std::move(job), std::move(result));
     } catch (const FatalError &) {
+        // Corrupt or stale-schema entry: fall back to simulation.
         return std::nullopt;
     }
+}
+
+std::optional<sim::RunResult>
+ResultCache::load(const Job &job) const
+{
+    if (!enabled())
+        return std::nullopt;
+    auto entry = readEntry(pathFor(job), &job);
+    if (!entry)
+        return std::nullopt;
+    return std::move(entry->second);
+}
+
+std::optional<std::pair<Job, sim::RunResult>>
+ResultCache::loadByHash(const std::string &hash_hex) const
+{
+    // The stem is attacker-adjacent (it arrives in a URL); only a
+    // 16-char lowercase hex string may touch the filesystem.
+    if (!enabled() || hash_hex.size() != 16 ||
+        hash_hex.find_first_not_of("0123456789abcdef") != std::string::npos)
+        return std::nullopt;
+    return readEntry((fs::path(dir) / (hash_hex + ".json")).string(),
+                     nullptr);
 }
 
 void
@@ -124,142 +77,33 @@ ResultCache::store(const Job &job, const sim::RunResult &result) const
     if (!enabled())
         return;
 
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        warn("result cache: cannot create ", dir, ": ", ec.message());
-        return;
-    }
-
     json::Object doc;
     doc.emplace("epoch", epoch);
     doc.emplace("key", job.key());
     doc.emplace("job", jobToJson(job));
     doc.emplace("result", resultToJson(result));
-
-    const std::string final_path = pathFor(job);
-    // Unique temp name per writer so concurrent stores never interleave;
-    // rename() is atomic within a filesystem.
-    std::ostringstream tmp_name;
-    tmp_name << final_path << ".tmp." << ::getpid() << "."
-             << std::hash<std::thread::id>{}(std::this_thread::get_id());
-    const std::string tmp_path = tmp_name.str();
-
-    // Register the temp file so a SIGINT that lands mid-write unlinks
-    // it instead of stranding writer litter in the cache directory.
-    const int cleanup = interrupt::registerCleanupFile(tmp_path.c_str());
-
-    {
-        std::ofstream out(tmp_path);
-        if (!out) {
-            warn("result cache: cannot write ", tmp_path);
-            interrupt::unregisterCleanupFile(cleanup);
-            return;
-        }
-        json::Value(std::move(doc)).write(out, 2);
-        out << "\n";
-    }
-    fs::rename(tmp_path, final_path, ec);
-    interrupt::unregisterCleanupFile(cleanup);
-    if (ec) {
-        warn("result cache: rename to ", final_path, " failed: ",
-             ec.message());
-        fs::remove(tmp_path, ec);
-    }
+    std::ostringstream os;
+    json::Value(std::move(doc)).write(os, 2);
+    os << "\n";
+    file_store::write(dir, pathFor(job), os.str(), "result cache");
 }
 
 CacheGcStats
 ResultCache::gc(std::uint64_t max_bytes) const
 {
-    CacheGcStats stats;
     if (!enabled())
-        return stats;
-
-    std::error_code ec;
-    fs::directory_iterator it(dir, ec);
-    if (ec)
-        return stats;    // absent directory: nothing to collect
-
-    struct Entry
-    {
-        std::string path;
-        std::uint64_t size;
-        fs::file_time_type mtime;
-    };
-    std::vector<Entry> live;
-
-    for (const fs::directory_entry &de : it) {
-        if (!de.is_regular_file(ec) || ec)
-            continue;
-        const std::string path = de.path().string();
-        const std::string name = de.path().filename().string();
-        const std::uint64_t size = de.file_size(ec);
-        if (ec)
-            continue;
-
-        // Writer litter from crashed/killed processes. Fresh temp files
-        // (younger than the grace window) belong to live writers racing
-        // this gc and must survive, or the racing store would lose its
-        // file mid-write and strand the writer.
-        if (name.find(".tmp.") != std::string::npos) {
-            const fs::file_time_type mtime = de.last_write_time(ec);
-            if (ec)
-                continue;
-            const auto age = fs::file_time_type::clock::now() - mtime;
-            if (age < std::chrono::seconds(kCacheTmpGraceSeconds))
-                continue;
-            if (fs::remove(path, ec))
-                stats.tmpRemoved++;
-            continue;
-        }
-        if (name.size() < 5 || name.substr(name.size() - 5) != ".json")
-            continue;
-
-        stats.scanned++;
-        stats.bytesBefore += size;
-
-        bool keep = false;
-        if (std::optional<std::string> text = slurp(path)) {
+        return {};
+    return file_store::gc(
+        dir, ".json",
+        [this](const std::string &text) {
             try {
-                json::Value doc = json::Value::parse(*text);
-                keep = doc.at("epoch").asString() == epoch;
+                return json::Value::parse(text).at("epoch").asString() ==
+                       epoch;
             } catch (const FatalError &) {
-                keep = false;
+                return false;
             }
-        }
-        if (!keep) {
-            if (fs::remove(path, ec))
-                stats.staleEvicted++;
-            continue;
-        }
-        live.push_back(Entry{path, size, de.last_write_time(ec)});
-    }
-
-    std::uint64_t total = 0;
-    for (const Entry &e : live)
-        total += e.size;
-
-    if (max_bytes && total > max_bytes) {
-        // Oldest mtime first; load() touches entries on every hit, so
-        // this is true least-recently-used order. Path is the
-        // tie-breaker to keep eviction deterministic for equal mtimes.
-        std::sort(live.begin(), live.end(),
-                  [](const Entry &a, const Entry &b) {
-                      if (a.mtime != b.mtime)
-                          return a.mtime < b.mtime;
-                      return a.path < b.path;
-                  });
-        for (const Entry &e : live) {
-            if (total <= max_bytes)
-                break;
-            if (fs::remove(e.path, ec)) {
-                stats.lruEvicted++;
-                total -= e.size;
-            }
-        }
-    }
-    stats.bytesAfter = total;
-    return stats;
+        },
+        max_bytes);
 }
 
 } // namespace dynaspam::runner

@@ -40,6 +40,7 @@
 #include <string>
 #include <utility>
 
+#include "runner/file_store.hh"
 #include "runner/job.hh"
 #include "sim/system.hh"
 
@@ -51,24 +52,6 @@ namespace dynaspam::runner
  * change that alters simulation results.
  */
 inline constexpr const char *kResultCacheEpoch = "dynaspam-sim-6";
-
-/**
- * Temp files younger than this are presumed to belong to a live writer
- * and are skipped by gc(); only older litter (crashed/killed writers)
- * is reaped. Shared by ResultCache and SnapshotCache.
- */
-inline constexpr std::uint64_t kCacheTmpGraceSeconds = 60;
-
-/** What one ResultCache::gc pass scanned and removed. */
-struct CacheGcStats
-{
-    std::uint64_t scanned = 0;      ///< entry files examined
-    std::uint64_t staleEvicted = 0; ///< wrong-epoch / unparsable entries
-    std::uint64_t lruEvicted = 0;   ///< evicted to meet the size budget
-    std::uint64_t tmpRemoved = 0;   ///< orphaned *.tmp.* writer litter
-    std::uint64_t bytesBefore = 0;  ///< directory size before the pass
-    std::uint64_t bytesAfter = 0;   ///< directory size after the pass
-};
 
 /** File-per-job result store. */
 class ResultCache
@@ -123,6 +106,11 @@ class ResultCache
     CacheGcStats gc(std::uint64_t max_bytes = 0) const;
 
   private:
+    /** Read and validate the entry at @p path: its epoch, and its key
+     *  against @p expected (or against its own "job" when null). */
+    std::optional<std::pair<Job, sim::RunResult>>
+    readEntry(const std::string &path, const Job *expected) const;
+
     std::string dir;
     std::string epoch;
 };

@@ -17,8 +17,7 @@
  *    drains. This is what the Runner's sweep path uses.
  *  - submit(task): persistent-queue mode. Enqueues one fire-and-forget
  *    closure and returns immediately; completion and error tracking are
- *    the caller's responsibility. This is what long-lived services
- *    (serve::Server) use to feed admitted jobs to the same pool.
+ *    the caller's responsibility.
  *
  * Determinism: parallelFor schedules *index-carrying closures* and the
  * caller stores each task's result into a slot owned by that index, so

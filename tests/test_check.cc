@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "check/check.hh"
@@ -102,6 +103,50 @@ TEST(GoldenModel, AgreesWithExecutorOnEveryRecord)
         }
     }
     EXPECT_TRUE(golden.halted());
+}
+
+TEST(GoldenModel, SignedDivisionOverflowMatchesRiscV)
+{
+    // INT64_MIN / -1 and INT64_MIN % -1 overflow in C++ (a SIGFPE trap
+    // on x86). Both models define them as RISC-V does: quotient
+    // INT64_MIN, remainder 0. Division by zero stays 0.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    isa::ProgramBuilder b("divoverflow");
+    b.movi(intReg(1), kMin);
+    b.movi(intReg(2), -1);
+    b.movi(intReg(3), 0);
+    b.movi(intReg(4), 0x10000);
+    b.div(intReg(5), intReg(1), intReg(2));
+    b.rem(intReg(6), intReg(1), intReg(2));
+    b.div(intReg(7), intReg(1), intReg(3));
+    b.rem(intReg(8), intReg(1), intReg(3));
+    b.movi(intReg(9), 7);
+    b.div(intReg(10), intReg(9), intReg(2));
+    b.st(intReg(4), intReg(5), 0);
+    b.st(intReg(4), intReg(6), 8);
+    b.st(intReg(4), intReg(7), 16);
+    b.st(intReg(4), intReg(8), 24);
+    b.st(intReg(4), intReg(10), 32);
+    b.halt();
+    isa::Program p = b.build();
+
+    const std::uint64_t expected[] = {std::uint64_t(kMin), 0, 0, 0,
+                                      std::uint64_t(-7)};
+    mem::FunctionalMemory memory;
+    isa::Executor::run(p, memory);
+    for (unsigned i = 0; i < 5; i++)
+        EXPECT_EQ(memory.read64(0x10000 + 8 * i), expected[i])
+            << "executor store " << i;
+
+    mem::FunctionalMemory initial;
+    check::GoldenModel golden(p, initial);
+    while (!golden.halted())
+        golden.step();
+    EXPECT_EQ(golden.reg(intReg(5)), expected[0]);
+    EXPECT_EQ(golden.reg(intReg(6)), expected[1]);
+    EXPECT_EQ(golden.reg(intReg(7)), expected[2]);
+    EXPECT_EQ(golden.reg(intReg(8)), expected[3]);
+    EXPECT_EQ(golden.reg(intReg(10)), expected[4]);
 }
 
 TEST(LockstepChecker, CleanRunReportsNothing)

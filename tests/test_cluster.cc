@@ -169,11 +169,12 @@ sendRaw(int fd, const std::string &wire)
 
 std::string
 requestWire(const std::string &method, const std::string &target,
-            const std::string &body = "")
+            const std::string &body = "", bool keep_alive = false)
 {
     std::ostringstream os;
     os << method << ' ' << target << " HTTP/1.1\r\n"
        << "Host: 127.0.0.1\r\n"
+       << (keep_alive ? "Connection: keep-alive\r\n" : "")
        << "Content-Length: " << body.size() << "\r\n\r\n"
        << body;
     return os.str();
@@ -332,6 +333,66 @@ TEST(ClusterWire, GarbageFramesRejected)
               cluster::DecodeOutcome::Bad);
 }
 
+TEST(ClusterWire, ResultRawRoundTripsEntriesAndExecutionStats)
+{
+    std::vector<cluster::RawEntry> entries(3);
+    entries[0] = {true, "{\"a\": 1}"};
+    entries[1] = {false, "{\"b\": 2}", true, 123456789, 4242};
+    entries[2] = {false, ""};
+    const std::string payload = cluster::encodeResultRaw(77, entries);
+
+    std::uint64_t id = 0;
+    std::vector<cluster::RawEntry> decoded;
+    ASSERT_TRUE(cluster::decodeResultRaw(payload, id, decoded));
+    EXPECT_EQ(id, 77u);
+    ASSERT_EQ(decoded.size(), 3u);
+    for (std::size_t i = 0; i < 3; i++) {
+        EXPECT_EQ(decoded[i].fromCache, entries[i].fromCache) << i;
+        EXPECT_EQ(decoded[i].fragment, entries[i].fragment) << i;
+        EXPECT_EQ(decoded[i].executed, entries[i].executed) << i;
+        EXPECT_EQ(decoded[i].hostNanos, entries[i].hostNanos) << i;
+        EXPECT_EQ(decoded[i].insts, entries[i].insts) << i;
+    }
+
+    // A lookup miss is a zero-entry payload.
+    ASSERT_TRUE(cluster::decodeResultRaw(cluster::encodeResultRaw(5, {}),
+                                         id, decoded));
+    EXPECT_EQ(id, 5u);
+    EXPECT_TRUE(decoded.empty());
+
+    // Lookup frames decode like every other type.
+    cluster::Frame frame;
+    std::size_t consumed = 0;
+    const std::string lookup = cluster::encodeFrame(
+        cluster::FrameType::Lookup,
+        "{\"id\": 3, \"hash\": \"0123456789abcdef\"}");
+    EXPECT_EQ(cluster::decodeFrame(lookup, frame, consumed),
+              cluster::DecodeOutcome::Ok);
+    EXPECT_EQ(frame.type, cluster::FrameType::Lookup);
+}
+
+TEST(ClusterWire, GarbageResultRawRejected)
+{
+    const std::string good = cluster::encodeResultRaw(
+        9, {{false, "{\"x\": 1}", true, 10, 20}});
+    std::uint64_t id = 0;
+    std::vector<cluster::RawEntry> decoded;
+    // Every truncation is rejected, never read past the end.
+    for (std::size_t len = 0; len < good.size(); len++)
+        EXPECT_FALSE(cluster::decodeResultRaw(good.substr(0, len), id,
+                                              decoded))
+            << "at prefix length " << len;
+    // Trailing bytes, unknown flag bits and an entry count the payload
+    // cannot hold are all rejected.
+    EXPECT_FALSE(cluster::decodeResultRaw(good + "x", id, decoded));
+    std::string flags = good;
+    flags[12] = char(0x80);
+    EXPECT_FALSE(cluster::decodeResultRaw(flags, id, decoded));
+    std::string count = good;
+    count[8] = count[9] = count[10] = count[11] = char(0xff);
+    EXPECT_FALSE(cluster::decodeResultRaw(count, id, decoded));
+}
+
 TEST(ClusterWire, RetryBackoffDelayClampedAndSafe)
 {
     using cluster::retryBackoffDelayMs;
@@ -401,7 +462,9 @@ TEST(Cluster, SweepReportByteIdenticalToSingleProcess)
     for (unsigned i = 0; i < 3; i++) {
         workers.push_back(std::make_unique<Worker>(quietWorker(
             coordinator, tmp.path() + "/worker" + std::to_string(i))));
-        threads.emplace_back([&, i] { workers[i]->run(); });
+        // The vector may grow while earlier workers run: capture the
+        // worker, not its slot.
+        threads.emplace_back([w = workers[i].get()] { w->run(); });
     }
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
@@ -766,20 +829,20 @@ TEST(Cluster, KeepAliveServesManyRequestsOnOneConnection)
     Coordinator coordinator(quietCoordinator(1));
     coordinator.start();
 
-    // HTTP/1.1 persistence is the default on the epoll front end: many
-    // requests, one connection, one connection-count increment.
+    // Keep-alive is opt-in (`Connection: keep-alive`): many requests,
+    // one connection, one connection-count increment.
     int fd = connectTo(coordinator.httpPort());
     ASSERT_GE(fd, 0);
     for (unsigned i = 0; i < 5; i++) {
-        ASSERT_TRUE(sendRaw(fd, requestWire("GET", "/healthz")));
+        ASSERT_TRUE(sendRaw(fd, requestWire("GET", "/healthz", "", true)));
         Reply reply = readReply(fd);
         EXPECT_EQ(reply.status, 200);
         EXPECT_EQ(reply.headers.at("Connection"), "keep-alive");
     }
 
     // Pipelined back-to-back requests also all get answered.
-    ASSERT_TRUE(sendRaw(fd, requestWire("GET", "/healthz") +
-                                requestWire("GET", "/metrics")));
+    ASSERT_TRUE(sendRaw(fd, requestWire("GET", "/healthz", "", true) +
+                                requestWire("GET", "/metrics", "", true)));
     EXPECT_EQ(readReply(fd).status, 200);
     Reply scrape = readReply(fd);
     EXPECT_EQ(scrape.status, 200);
@@ -934,4 +997,180 @@ TEST(Cluster, CoordinatorMemoServesRepeatSweeps)
 
     coordinator.beginDrain();
     coordinator.waitUntilDrained();
+}
+
+// --- Parity with `dynaspam serve` -----------------------------------------
+
+namespace
+{
+
+/** Fake simulator shared by a test's workers: counts calls and blocks
+ *  while closed. */
+class Gate
+{
+  public:
+    sim::RunResult
+    operator()(const Job &)
+    {
+        calls++;
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [this] { return open; });
+        sim::RunResult result;
+        result.cycles = 1000;
+        result.instsTotal = 500;
+        result.functionallyCorrect = true;
+        return result;
+    }
+
+    void
+    release()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        open = true;
+        cv.notify_all();
+    }
+
+    std::atomic<unsigned> calls{0};
+
+  private:
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+};
+
+/** A coordinator and @p count cache-less remote workers running
+ *  @p gate, torn down in order. */
+class GatedCluster
+{
+  public:
+    GatedCluster(Gate &gate, unsigned count)
+        : coordinator(quietCoordinator(count))
+    {
+        coordinator.start();
+        for (unsigned i = 0; i < count; i++) {
+            WorkerOptions opts = quietWorker(coordinator, "");
+            opts.executeFn = [&gate](const Job &job) { return gate(job); };
+            workers.push_back(std::make_unique<Worker>(opts));
+            Worker *worker = workers.back().get();
+            threads.emplace_back([worker] { worker->run(); });
+        }
+        connected = eventually([&] {
+            return coordinator.metrics().value(
+                       "dynaspam_cluster_workers_connected") == count;
+        });
+    }
+
+    ~GatedCluster()
+    {
+        coordinator.beginDrain();
+        coordinator.waitUntilDrained();
+        for (std::thread &t : threads)
+            t.join();
+    }
+
+    unsigned port() const { return coordinator.httpPort(); }
+
+    Coordinator coordinator;
+    bool connected = false;
+
+  private:
+    std::vector<std::unique_ptr<Worker>> workers;
+    std::vector<std::thread> threads;
+};
+
+} // namespace
+
+TEST(Cluster, RunQuerySelectsSampledFidelity)
+{
+    Coordinator coordinator(quietCoordinator(1));
+    coordinator.start();
+    Worker worker(quietWorker(coordinator, ""));
+    std::thread worker_thread([&] { worker.run(); });
+    ASSERT_TRUE(eventually([&] {
+        return coordinator.metrics().value(
+                   "dynaspam_cluster_workers_connected") == 1;
+    }));
+
+    // The query overrides the body spec, exactly as on `dynaspam serve`.
+    Reply sampled = request(coordinator.httpPort(), "POST",
+                            "/run?fidelity=sampled&warmup_insts=20000",
+                            "{\"workload\": \"bfs\", \"trace_length\": 16}");
+    EXPECT_EQ(sampled.status, 200) << sampled.body;
+    EXPECT_NE(sampled.body.find("\"sampled\": {"), std::string::npos);
+    EXPECT_NE(sampled.body.find("\"fidelity\": \"sampled\""),
+              std::string::npos);
+    EXPECT_EQ(request(coordinator.httpPort(), "POST", "/run?bogus=1",
+                      "{\"workload\": \"bfs\"}").status,
+              400);
+
+    coordinator.beginDrain();
+    coordinator.waitUntilDrained();
+    worker_thread.join();
+}
+
+TEST(Cluster, ResultsAnswersFromTheWorkers)
+{
+    Gate gate;
+    GatedCluster cluster(gate, 2);
+    ASSERT_TRUE(cluster.connected);
+    const std::vector<Job> jobs = sweepJobsUnderTest();
+    const std::string spec =
+        "{\"workload\": \"bfs\", \"mode\": \"accel-spec\","
+        " \"trace_length\": 16}";
+    const std::string hash =
+        Job{"BFS", SystemMode::AccelSpec, 16, 1, 1}.hashHex();
+
+    // In flight: 202, without asking any worker.
+    std::thread first([&] {
+        EXPECT_EQ(request(cluster.port(), "POST", "/run", spec).status, 200);
+    });
+    ASSERT_TRUE(eventually([&] { return gate.calls.load() == 1; }));
+    Reply pending = request(cluster.port(), "GET", "/results/" + hash);
+    EXPECT_EQ(pending.status, 202);
+    EXPECT_NE(pending.body.find("\"status\": \"pending\""),
+              std::string::npos);
+    gate.release();
+    first.join();
+
+    // After a sweep, every job's result is the bytes a /run answers,
+    // whichever worker holds it.
+    ASSERT_EQ(request(cluster.port(), "POST", "/sweep", kSweepBody).status,
+              200);
+    for (const Job &job : jobs) {
+        std::ostringstream body;
+        body << "{\"workload\": \"bfs\", \"mode\": \""
+             << sim::modeName(job.mode) << "\", \"trace_length\": 16}";
+        Reply results =
+            request(cluster.port(), "GET", "/results/" + job.hashHex());
+        Reply run = request(cluster.port(), "POST", "/run", body.str());
+        EXPECT_EQ(results.status, 200) << job.key();
+        EXPECT_EQ(results.body, run.body) << job.key();
+    }
+    EXPECT_EQ(gate.calls.load(), jobs.size());
+
+    EXPECT_EQ(request(cluster.port(), "GET",
+                      "/results/0123456789abcdef").status, 404);
+    EXPECT_EQ(request(cluster.port(), "POST", "/results/" + hash).status,
+              405);
+}
+
+TEST(Cluster, CachelessWorkerRepeatSweepIsByteIdentical)
+{
+    Gate gate;
+    gate.release();
+    GatedCluster cluster(gate, 1);
+    ASSERT_TRUE(cluster.connected);
+
+    // A worker without a result cache replays its memo as what it is:
+    // not a cache hit. The repeat sweep executes nothing and matches
+    // the first byte for byte.
+    Reply first = request(cluster.port(), "POST", "/sweep", kSweepBody);
+    Reply again = request(cluster.port(), "POST", "/sweep", kSweepBody);
+    ASSERT_EQ(first.status, 200);
+    EXPECT_EQ(again.body, first.body);
+    EXPECT_EQ(first.body.find("\"from_cache\": true"), std::string::npos);
+    EXPECT_EQ(gate.calls.load(), 4u);
+    EXPECT_EQ(cluster.coordinator.metrics().value(
+                  "dynaspam_jobs_executed_total"),
+              4);
 }

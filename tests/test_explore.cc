@@ -568,7 +568,9 @@ TEST(ExploreCluster, StreamByteIdenticalToInProcess)
     for (unsigned i = 0; i < 2; i++) {
         workers.push_back(
             std::make_unique<Worker>(quietFakeWorker(coordinator)));
-        threads.emplace_back([&, i] { workers[i]->run(); });
+        // The vector may grow while earlier workers run: capture the
+        // worker, not its slot.
+        threads.emplace_back([w = workers[i].get()] { w->run(); });
     }
     ASSERT_TRUE(eventually([&] {
         return coordinator.metrics().value(
