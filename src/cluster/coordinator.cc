@@ -253,7 +253,8 @@ Coordinator::start()
     listenHttpFd = serve::listenTcp(options.bindAddress, options.httpPort,
                                     options.acceptBacklog, httpPort_);
     setNonBlocking(listenHttpFd.get());
-    if (options.listenWorkers) {
+    remoteWorkers = attached.empty();
+    if (remoteWorkers) {
         listenWorkerFd =
             serve::listenTcp(options.bindAddress, options.workerPort,
                              options.acceptBacklog, workerPort_);
@@ -1693,7 +1694,7 @@ Coordinator::checkTimers()
 
         std::vector<int> stale;
         for (const auto &kv : workers)
-            if (options.pingTimeoutMs && kv.second.slot >= 0 &&
+            if (remoteWorkers && kv.second.slot >= 0 &&
                 now - kv.second.lastPong >
                     std::chrono::milliseconds(options.pingTimeoutMs))
                 stale.push_back(kv.first);

@@ -101,11 +101,9 @@ struct CoordinatorOptions
     std::string bindAddress = "127.0.0.1";
     /** Client-facing HTTP port; 0 binds an ephemeral port. */
     unsigned httpPort = 8080;
-    /** Worker-facing wire-protocol port; 0 binds an ephemeral port. */
+    /** Worker-facing wire-protocol port; 0 binds an ephemeral port.
+     *  Not opened when workers are attached in process (attachWorker). */
     unsigned workerPort = 9090;
-    /** Open the worker port. Off when every worker is attached in
-     *  process (attachWorker), as `dynaspam serve` does. */
-    bool listenWorkers = true;
     /** Hash-space partitions == maximum cluster size. */
     unsigned workerSlots = 4;
     /** Max jobs admitted but not yet handed to a worker before 429. */
@@ -122,9 +120,7 @@ struct CoordinatorOptions
     std::uint64_t retryBackoffMs = 100;
     /** Worker health-check period. */
     std::uint64_t pingIntervalMs = 2000;
-    /** Silence past this declares a worker dead. 0 never does: an
-     *  in-process link reports its loss as EOF, and a worker answers
-     *  pings only between jobs. */
+    /** Silence past this declares a remote worker dead. */
     std::uint64_t pingTimeoutMs = 10000;
     /**
      * Shared enrollment secret. When non-empty, a worker Hello must
@@ -164,8 +160,11 @@ class Coordinator
 
     /**
      * Adopt @p link, a connected stream whose other end runs
-     * Worker::serveConnection, as a worker link. Call before start();
-     * the worker enrolls with the usual Hello/Welcome handshake.
+     * Worker::serveConnection in this process, as a worker link. Call
+     * before start(); the worker enrolls with the usual Hello/Welcome
+     * handshake. A coordinator with attached workers opens no worker
+     * port and never drops a worker for silence: a worker answers
+     * pings only between jobs, and a lost in-process link reads as EOF.
      */
     void attachWorker(common::Fd link);
 
@@ -437,6 +436,8 @@ class Coordinator
     common::Fd listenWorkerFd;
     common::Pipe wakePipe;
     std::vector<common::Fd> attached;
+    /** Workers dial in over TCP (nothing was attached before start). */
+    bool remoteWorkers = true;
     unsigned httpPort_ = 0;
     unsigned workerPort_ = 0;
     std::thread loopThread;

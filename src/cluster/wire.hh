@@ -18,7 +18,7 @@
  *
  * Frame flow:
  *
- *     worker -> coordinator   Hello  {"protocol": 1, "token": "..."}
+ *     worker -> coordinator   Hello  {"protocol": 2, "token": "..."}
  *     coordinator -> worker   Welcome {"slot": N, "slots": M}
  *
  * The Hello "token" field is optional: a worker sends it when started

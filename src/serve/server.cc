@@ -25,15 +25,11 @@ coordinatorOptions(const ServerOptions &o)
     cluster::CoordinatorOptions co;
     co.bindAddress = o.bindAddress;
     co.httpPort = o.port;
-    co.listenWorkers = false;
     co.workerSlots = workerCount(o);
     co.queueCapacity = o.queueCapacity;
     co.requestTimeoutMs = o.requestTimeoutMs;
     co.maxRequestBytes = o.maxRequestBytes;
     co.acceptBacklog = o.acceptBacklog;
-    // A worker answers pings only between jobs, and a lost socketpair
-    // shows up as EOF: silence never means an in-process worker died.
-    co.pingTimeoutMs = 0;
     co.defaultWarmupInsts = o.defaultWarmupInsts;
     // serve logs its own lifecycle lines.
     co.verbose = false;
